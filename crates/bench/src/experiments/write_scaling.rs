@@ -14,11 +14,14 @@
 //!
 //! The sweep runs the full (shards × threads) grid and reports, per
 //! cell: aggregate throughput, PUT p50/p99, mean group size, syncs per
-//! write, and the full group-size histogram (summed over shards).
+//! write, and the full group-size histogram (summed over shards). The
+//! one-shard row is run a second time with two stand-alone indexes: the
+//! primary's WAL is the shard's only commit log (DESIGN.md §11), so the
+//! indexed cells must pay the same syncs per write as the bare ones.
 
 use crate::harness::{fnum, LatencyStats, Series};
 use crate::setup::{bench_opts, bench_stats, doc_of, Scale};
-use ldbpp_core::{SecondaryDb, SecondaryDbOptions};
+use ldbpp_core::{IndexKind, SecondaryDb, SecondaryDbOptions};
 use ldbpp_lsm::env::{MemEnv, SyncLatencyEnv};
 use ldbpp_workload::TweetGenerator;
 use std::time::{Duration, Instant};
@@ -28,6 +31,12 @@ const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
 
 /// Writer-thread counts of the scaling grid.
 const THREAD_COUNTS: [usize; 3] = [1, 4, 8];
+
+/// The stand-alone indexes of the indexed cells.
+const INDEXES: [(&str, IndexKind); 2] = [
+    ("UserID", IndexKind::LazyStandalone),
+    ("CreationTime", IndexKind::CompositeStandalone),
+];
 
 /// Simulated fsync cost. Large against MemEnv's ~ns appends *and* the
 /// per-put CPU work (record generation + memtable insert, ~100 µs), so
@@ -40,12 +49,14 @@ const SYNC_DELAY: Duration = Duration::from_micros(500);
 const HIST_LABELS: [&str; 6] = ["g1", "g2", "g3_4", "g5_8", "g9_16", "g17p"];
 
 /// One cell of the grid: `threads` writers insert `total_ops` records
-/// (split evenly) into a fresh fsync-bound `shards`-shard database.
-/// Returns the merged per-put latencies, the wall time, and the
-/// I/O-stat delta summed over all shards.
+/// (split evenly) into a fresh fsync-bound `shards`-shard database with
+/// the stand-alone indexes `specs`. Returns the merged per-put latencies,
+/// the wall time, and the I/O-stat delta summed over all shards and
+/// their index tables.
 fn run_cell(
     shards: usize,
     threads: usize,
+    specs: &[(&str, IndexKind)],
     total_ops: usize,
     seed: u64,
 ) -> (LatencyStats, Duration, ldbpp_lsm::env::IoSnapshot) {
@@ -64,11 +75,12 @@ fn run_cell(
             shards,
             ..Default::default()
         },
-        &[],
+        specs,
     )
     .unwrap();
 
-    let before = db.primary_io();
+    let io = || db.primary_io() + db.index_io();
+    let before = io();
     let per_thread = total_ops / threads;
     let started = Instant::now();
     let mut merged = LatencyStats::new();
@@ -101,15 +113,17 @@ fn run_cell(
         }
     });
     let elapsed = started.elapsed();
-    let delta = db.primary_io().since(&before);
+    let delta = io().since(&before);
     (merged, elapsed, delta)
 }
 
-/// The full {1,2,4}-shard × {1,4,8}-writer scaling grid.
+/// The full {1,2,4}-shard × {1,4,8}-writer scaling grid, then the
+/// one-shard row again with two stand-alone indexes (`INDEXES`).
 pub fn run(scale: Scale) -> Series {
     let mut headers = vec![
         "shards",
         "threads",
+        "indexes",
         "ops",
         "kops_s",
         "put_p50_us",
@@ -128,15 +142,17 @@ pub fn run(scale: Scale) -> Series {
     // Fixed total work per cell so cells are comparable: more threads (or
     // shards) must win by grouping or parallel syncs, not by doing less.
     let total_ops = (scale.mixed_ops / 10).max(1_000);
-    for shards in SHARD_COUNTS {
+    let bare = SHARD_COUNTS.iter().map(|s| (*s, &INDEXES[..0]));
+    for (shards, specs) in bare.chain([(1, &INDEXES[..])]) {
         for threads in THREAD_COUNTS {
-            let (lat, elapsed, delta) = run_cell(shards, threads, total_ops, scale.seed);
+            let (lat, elapsed, delta) = run_cell(shards, threads, specs, total_ops, scale.seed);
             let ops = lat.len();
             let kops = ops as f64 / elapsed.as_secs_f64() / 1e3;
             let mean_group = delta.grouped_writes as f64 / delta.group_commits.max(1) as f64;
             let mut row = vec![
                 shards.to_string(),
                 threads.to_string(),
+                specs.len().to_string(),
                 ops.to_string(),
                 fnum(kops),
                 fnum(lat.percentile_us(0.50)),
@@ -157,8 +173,15 @@ mod tests {
     use super::*;
 
     fn cell(s: &Series, shards: &str, threads: &str, col: &str) -> f64 {
-        s.value(|r| r[0] == shards && r[1] == threads, col)
-            .unwrap_or_else(|| panic!("missing cell ({shards} shards, {threads} threads)"))
+        indexed_cell(s, shards, threads, "0", col)
+    }
+
+    fn indexed_cell(s: &Series, shards: &str, threads: &str, indexes: &str, col: &str) -> f64 {
+        s.value(
+            |r| r[0] == shards && r[1] == threads && r[2] == indexes,
+            col,
+        )
+        .unwrap_or_else(|| panic!("missing cell ({shards} shards, {threads} threads)"))
     }
 
     #[test]
@@ -185,6 +208,13 @@ mod tests {
         assert!(
             cell(&s, "1", "4", "mean_group") > 1.0,
             "no grouping happened at 4 writers"
+        );
+        // Two stand-alone indexes ride on the same record and the same
+        // sync: one per write for a lone writer, not three.
+        let indexed = indexed_cell(&s, "1", "1", "2", "syncs_per_op");
+        assert!(
+            (0.9..=1.0).contains(&indexed),
+            "an indexed PUT must pay one WAL sync, paid {indexed}"
         );
     }
 

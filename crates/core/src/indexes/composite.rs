@@ -9,43 +9,30 @@
 //! top-K.
 
 use crate::doc::Document;
-use crate::indexes::{clear_index_table, fetch_if_valid, IndexKind, LookupHit, SecondaryIndex};
+use crate::indexes::{fetch_if_valid, IndexKind, LookupHit, SecondaryIndex};
 use ldbpp_common::coding::{decode_fixed64, put_fixed64};
 use ldbpp_common::Result;
 use ldbpp_lsm::attr::AttrValue;
-use ldbpp_lsm::db::{Db, DbOptions};
-use ldbpp_lsm::env::{Env, IoStats};
+use ldbpp_lsm::db::{CommitView, Db};
+use ldbpp_lsm::write_batch::BatchOp;
 use std::sync::Arc;
 
 /// Stand-alone composite-key index.
 pub struct CompositeIndex {
     attr: String,
+    tree: u32,
     table: Arc<Db>,
 }
 
 impl CompositeIndex {
-    /// Open the index table under `path`.
-    pub fn open(
-        env: Arc<dyn Env>,
-        path: &str,
-        attr: &str,
-        base: &DbOptions,
-    ) -> Result<CompositeIndex> {
-        let opts = DbOptions {
-            indexed_attrs: Vec::new(),
-            extractor: None,
-            merge_operator: None,
-            ..base.clone()
-        };
-        Ok(CompositeIndex {
+    /// The index on `attr` kept in `table`, tree `tree` of its shard's
+    /// commit log.
+    pub fn new(attr: &str, tree: u32, table: Arc<Db>) -> CompositeIndex {
+        CompositeIndex {
             attr: attr.to_string(),
-            table: Arc::new(Db::open(env, path, opts)?),
-        })
-    }
-
-    /// The underlying index table (exposed for experiments).
-    pub fn table(&self) -> &Arc<Db> {
-        &self.table
+            tree,
+            table,
+        }
     }
 
     fn composite_key(value: &AttrValue, pk: &[u8]) -> Vec<u8> {
@@ -140,30 +127,33 @@ impl SecondaryIndex for CompositeIndex {
         IndexKind::CompositeStandalone
     }
 
-    fn on_put(&self, _primary: &Db, pk: &[u8], doc: &Document, seq: u64) -> Result<()> {
-        let Some(value) = doc.attr(&self.attr) else {
-            return Ok(());
-        };
+    fn on_put(
+        &self,
+        _view: &CommitView<'_>,
+        pk: &[u8],
+        value: &AttrValue,
+        seq: u64,
+        out: &mut Vec<BatchOp>,
+    ) -> Result<()> {
         let mut seq_bytes = Vec::with_capacity(8);
         put_fixed64(&mut seq_bytes, seq);
-        self.table
-            .put(&Self::composite_key(&value, pk), &seq_bytes)?;
+        let key = Self::composite_key(value, pk);
+        out.push(BatchOp::put(self.tree, &key, &seq_bytes));
         Ok(())
     }
 
     fn on_delete(
         &self,
-        _primary: &Db,
+        _view: &CommitView<'_>,
         pk: &[u8],
-        old_doc: Option<&Document>,
+        old_value: &AttrValue,
         _seq: u64,
+        out: &mut Vec<BatchOp>,
     ) -> Result<()> {
         // "A DEL operation inserts the composite key with a deletion marker
         // in [the] index table": an LSM tombstone on the composite key.
-        let Some(value) = old_doc.and_then(|d| d.attr(&self.attr)) else {
-            return Ok(());
-        };
-        self.table.delete(&Self::composite_key(&value, pk))?;
+        let key = Self::composite_key(old_value, pk);
+        out.push(BatchOp::delete(self.tree, &key));
         Ok(())
     }
 
@@ -189,29 +179,8 @@ impl SecondaryIndex for CompositeIndex {
         })
     }
 
-    fn table_bytes(&self) -> u64 {
-        self.table.table_bytes()
-    }
-
-    fn index_stats(&self) -> Option<Arc<IoStats>> {
-        Some(self.table.stats())
-    }
-
-    fn flush(&self) -> Result<()> {
-        self.table.flush()
-    }
-
-    fn wait_for_background_idle(&self) -> Result<()> {
-        self.table.wait_for_background_idle()
-    }
-
-    fn needs_backfill(&self) -> bool {
-        // Never written: no sequence was ever assigned to this table.
-        self.table.last_sequence() == 0
-    }
-
-    fn clear(&self) -> Result<usize> {
-        clear_index_table(&self.table)
+    fn tree(&self) -> Option<(u32, &Arc<Db>)> {
+        Some((self.tree, &self.table))
     }
 
     fn check_integrity(
@@ -224,9 +193,7 @@ impl SecondaryIndex for CompositeIndex {
         report.merge(&ctx, self.table.check_integrity());
         // Cross-check: every live composite entry must reference a primary
         // key with some record. Deleted entries are LSM tombstones in the
-        // index table itself (invisible here); predicted-sequence entries
-        // stranded by a crash before the primary write are tolerated.
-        let primary_last = primary.last_sequence();
+        // index table itself (invisible here).
         // Sound only while the primary never erased a key's full history
         // at the base level (see `check_posting_table` for the argument).
         let strict = primary.erased_keys() == 0;
@@ -252,7 +219,7 @@ impl SecondaryIndex for CompositeIndex {
                 continue;
             }
             let seq = decode_fixed64(&value);
-            if !strict || seq > primary_last {
+            if !strict {
                 continue;
             }
             if primary.newest_record(pk)?.is_none() {
@@ -267,30 +234,5 @@ impl SecondaryIndex for CompositeIndex {
             }
         }
         Ok(())
-    }
-
-    fn reconcile_dangling(&self, primary: &Db) -> Result<usize> {
-        // Composite entries are individually addressable, so a stranded
-        // entry is removed with an ordinary LSM tombstone on its composite
-        // key; a later re-insert writes a newer entry that shadows it.
-        // Collect-then-apply keeps the scan independent of the deletes.
-        let mut stranded = Vec::new();
-        let mut it = self.table.resolved_iter()?;
-        it.seek_to_first();
-        while let Some((key, _seq, value)) = it.next_entry()? {
-            // Undecodable or malformed entries are the checker's
-            // department; recovery only touches well-formed live entries.
-            let Ok((_av, pk)) = AttrValue::decode_composite(&key) else {
-                continue;
-            };
-            if value.len() == 8 && primary.newest_record(pk)?.is_none() {
-                stranded.push(key);
-            }
-        }
-        let removed = stranded.len();
-        for key in stranded {
-            self.table.delete(&key)?;
-        }
-        Ok(removed)
     }
 }

@@ -8,52 +8,50 @@
 
 use crate::doc::Document;
 use crate::indexes::posting::{decode_postings, encode_postings, fold_postings, Posting};
-use crate::indexes::{clear_index_table, fetch_if_valid, IndexKind, LookupHit, SecondaryIndex};
+use crate::indexes::{fetch_if_valid, IndexKind, LookupHit, SecondaryIndex};
 use crate::topk::TopK;
 use ldbpp_common::Result;
 use ldbpp_lsm::attr::AttrValue;
-use ldbpp_lsm::db::{Db, DbOptions};
-use ldbpp_lsm::env::{Env, IoStats};
+use ldbpp_lsm::db::{CommitView, Db};
+use ldbpp_lsm::model_bugs::{self, Fault};
+use ldbpp_lsm::write_batch::BatchOp;
 use std::sync::Arc;
 
 /// Stand-alone posting-list index with eager (in-place) updates.
 pub struct EagerIndex {
     attr: String,
+    tree: u32,
     table: Arc<Db>,
 }
 
 impl EagerIndex {
-    /// Open the index table under `path` (its own LSM tree).
-    pub fn open(env: Arc<dyn Env>, path: &str, attr: &str, base: &DbOptions) -> Result<EagerIndex> {
-        let opts = DbOptions {
-            indexed_attrs: Vec::new(),
-            extractor: None,
-            merge_operator: None,
-            ..base.clone()
-        };
-        Ok(EagerIndex {
+    /// The index on `attr` kept in `table`, tree `tree` of its shard's
+    /// commit log.
+    pub fn new(attr: &str, tree: u32, table: Arc<Db>) -> EagerIndex {
+        EagerIndex {
             attr: attr.to_string(),
-            table: Arc::new(Db::open(env, path, opts)?),
-        })
+            tree,
+            table,
+        }
     }
 
-    /// The underlying index table (exposed for experiments).
-    pub fn table(&self) -> &Arc<Db> {
-        &self.table
-    }
-
+    /// Read the list of `value` as the commit sees it and emit its
+    /// replacement. The commit serialises the pair with every other write
+    /// of the shard, so two writers under one value cannot lose a posting.
     fn read_modify_write(
         &self,
+        view: &CommitView<'_>,
         value: &AttrValue,
         update: impl FnOnce(Vec<Posting>) -> Vec<Posting>,
+        out: &mut Vec<BatchOp>,
     ) -> Result<()> {
         let key = value.encode();
-        let current = match self.table.get(&key)? {
+        let current = match view.get(self.tree, &key)? {
             Some(bytes) => decode_postings(&bytes)?,
             None => Vec::new(),
         };
         let updated = update(current);
-        self.table.put(&key, &encode_postings(&updated)?)?;
+        out.push(BatchOp::put(self.tree, &key, &encode_postings(&updated)?));
         Ok(())
     }
 }
@@ -67,32 +65,36 @@ impl SecondaryIndex for EagerIndex {
         IndexKind::EagerStandalone
     }
 
-    fn on_put(&self, _primary: &Db, pk: &[u8], doc: &Document, seq: u64) -> Result<()> {
-        let Some(value) = doc.attr(&self.attr) else {
-            return Ok(());
-        };
+    fn on_put(
+        &self,
+        view: &CommitView<'_>,
+        pk: &[u8],
+        value: &AttrValue,
+        seq: u64,
+        out: &mut Vec<BatchOp>,
+    ) -> Result<()> {
         let entry = Posting::insert(pk.to_vec(), seq);
-        self.read_modify_write(&value, move |current| {
+        let keep_newest = move |current| {
             // Keep at most one entry per primary key (the new one).
             fold_postings(&[vec![entry], current], true)
-        })
+        };
+        self.read_modify_write(view, value, keep_newest, out)
     }
 
     fn on_delete(
         &self,
-        _primary: &Db,
+        view: &CommitView<'_>,
         pk: &[u8],
-        old_doc: Option<&Document>,
+        old_value: &AttrValue,
         _seq: u64,
+        out: &mut Vec<BatchOp>,
     ) -> Result<()> {
         // Eager updates can physically remove the key from the list.
-        let Some(value) = old_doc.and_then(|d| d.attr(&self.attr)) else {
-            return Ok(());
-        };
-        self.read_modify_write(&value, |mut current| {
+        let remove = |mut current: Vec<Posting>| {
             current.retain(|p| p.pk != pk);
             current
-        })
+        };
+        self.read_modify_write(view, old_value, remove, out)
     }
 
     fn lookup(&self, primary: &Db, value: &AttrValue, k: Option<usize>) -> Result<Vec<LookupHit>> {
@@ -145,14 +147,7 @@ impl SecondaryIndex for EagerIndex {
         // Seeded bug (model-checker fault injection, off by default):
         // bound the candidate heap at K before validation, re-creating
         // the under-fill described above.
-        #[cfg(feature = "check")]
-        let cap = if crate::model_bugs::eager_k_prefix() {
-            k
-        } else {
-            None
-        };
-        #[cfg(not(feature = "check"))]
-        let cap = None;
+        let cap = k.filter(|_| model_bugs::enabled(Fault::EagerKPrefix));
         let mut candidates: TopK<Vec<u8>> = TopK::new(cap);
         let mut it = self.table.range_iter(&lo.encode(), &hi.encode())?;
         while let Some((key, _seq, bytes)) = it.next_entry()? {
@@ -188,29 +183,8 @@ impl SecondaryIndex for EagerIndex {
         Ok(hits)
     }
 
-    fn table_bytes(&self) -> u64 {
-        self.table.table_bytes()
-    }
-
-    fn index_stats(&self) -> Option<Arc<IoStats>> {
-        Some(self.table.stats())
-    }
-
-    fn flush(&self) -> Result<()> {
-        self.table.flush()
-    }
-
-    fn wait_for_background_idle(&self) -> Result<()> {
-        self.table.wait_for_background_idle()
-    }
-
-    fn needs_backfill(&self) -> bool {
-        // Never written: no sequence was ever assigned to this table.
-        self.table.last_sequence() == 0
-    }
-
-    fn clear(&self) -> Result<usize> {
-        clear_index_table(&self.table)
+    fn tree(&self) -> Option<(u32, &Arc<Db>)> {
+        Some((self.tree, &self.table))
     }
 
     fn check_integrity(
@@ -219,21 +193,5 @@ impl SecondaryIndex for EagerIndex {
         report: &mut ldbpp_lsm::check::IntegrityReport,
     ) -> Result<()> {
         crate::indexes::check_posting_table(self.kind(), &self.attr, &self.table, primary, report)
-    }
-
-    fn reconcile_dangling(&self, primary: &Db) -> Result<usize> {
-        // Eager lists are read-modify-write anyway, so crash-stranded
-        // entries can be physically dropped from each affected list.
-        let mut removed = 0usize;
-        for (key, dangling) in crate::indexes::collect_dangling_postings(&self.table, primary)? {
-            let Some(bytes) = self.table.get(&key)? else {
-                continue;
-            };
-            let mut list = decode_postings(&bytes)?;
-            list.retain(|p| !dangling.contains(&p.pk));
-            self.table.put(&key, &encode_postings(&list)?)?;
-            removed += dangling.len();
-        }
-        Ok(removed)
     }
 }

@@ -24,7 +24,6 @@ use ldbpp_lsm::ikey::{compare_internal, parse_internal_key, ValueType};
 use ldbpp_lsm::table::ReadPurpose;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashSet};
-use std::sync::Arc;
 
 struct MemIndex {
     generation: u64,
@@ -303,10 +302,11 @@ impl SecondaryIndex for EmbeddedIndex {
         IndexKind::Embedded
     }
 
-    fn on_put(&self, primary: &Db, pk: &[u8], doc: &Document, seq: u64) -> Result<()> {
+    fn after_put(&self, primary: &Db, pk: &[u8], doc: &Document, seq: u64) {
         // Called after the primary write, so the generation reflects any
         // flush that write triggered and the entry lands in the B-tree for
-        // the *current* memtable.
+        // the *current* memtable. A DEL needs no counterpart: candidates
+        // are validated against the newest memtable version anyway.
         self.sync_generation(primary);
         if let Some(value) = doc.attr(&self.attr) {
             self.mem
@@ -314,21 +314,6 @@ impl SecondaryIndex for EmbeddedIndex {
                 .map
                 .insert((value.encode(), pk.to_vec()), seq);
         }
-        Ok(())
-    }
-
-    fn on_delete(
-        &self,
-        primary: &Db,
-        pk: &[u8],
-        old_doc: Option<&Document>,
-        _seq: u64,
-    ) -> Result<()> {
-        self.sync_generation(primary);
-        if let Some(value) = old_doc.and_then(|d| d.attr(&self.attr)) {
-            self.mem.lock().map.remove(&(value.encode(), pk.to_vec()));
-        }
-        Ok(())
     }
 
     fn lookup(&self, primary: &Db, value: &AttrValue, k: Option<usize>) -> Result<Vec<LookupHit>> {
@@ -343,25 +328,5 @@ impl SecondaryIndex for EmbeddedIndex {
         k: Option<usize>,
     ) -> Result<Vec<LookupHit>> {
         self.scan(primary, lo, hi, k, false)
-    }
-
-    fn table_bytes(&self) -> u64 {
-        0 // no separate structure — that is the point
-    }
-
-    fn index_stats(&self) -> Option<Arc<IoStats>> {
-        None
-    }
-
-    fn flush(&self) -> Result<()> {
-        Ok(())
-    }
-
-    fn on_primary_mem_flush(&self, generation: u64, flushed_through: u64) {
-        let mut mem = self.mem.lock();
-        if mem.generation != generation {
-            mem.map.retain(|_, seq| *seq > flushed_through);
-            mem.generation = generation;
-        }
     }
 }

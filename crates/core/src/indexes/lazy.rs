@@ -9,13 +9,13 @@
 
 use crate::doc::Document;
 use crate::indexes::posting::{decode_postings, encode_postings, fold_postings, Posting};
-use crate::indexes::{clear_index_table, fetch_if_valid, IndexKind, LookupHit, SecondaryIndex};
+use crate::indexes::{fetch_if_valid, IndexKind, LookupHit, SecondaryIndex};
 use ldbpp_common::Result;
 use ldbpp_lsm::attr::AttrValue;
-use ldbpp_lsm::db::{Db, DbOptions};
-use ldbpp_lsm::env::{Env, IoStats};
+use ldbpp_lsm::db::{CommitView, Db};
 use ldbpp_lsm::ikey::{self, InternalKey, ValueType};
 use ldbpp_lsm::merge::MergeOperator;
+use ldbpp_lsm::write_batch::BatchOp;
 use std::collections::{HashMap, HashSet};
 use std::ops::ControlFlow;
 use std::sync::Arc;
@@ -55,27 +55,19 @@ impl MergeOperator for PostingListMerge {
 /// Stand-alone posting-list index with lazy (append-only) updates.
 pub struct LazyIndex {
     attr: String,
+    tree: u32,
     table: Arc<Db>,
 }
 
 impl LazyIndex {
-    /// Open the index table under `path`.
-    pub fn open(env: Arc<dyn Env>, path: &str, attr: &str, base: &DbOptions) -> Result<LazyIndex> {
-        let opts = DbOptions {
-            indexed_attrs: Vec::new(),
-            extractor: None,
-            merge_operator: Some(Arc::new(PostingListMerge)),
-            ..base.clone()
-        };
-        Ok(LazyIndex {
+    /// The index on `attr` kept in `table` (opened with
+    /// [`PostingListMerge`]), tree `tree` of its shard's commit log.
+    pub fn new(attr: &str, tree: u32, table: Arc<Db>) -> LazyIndex {
+        LazyIndex {
             attr: attr.to_string(),
-            table: Arc::new(Db::open(env, path, opts)?),
-        })
-    }
-
-    /// The underlying index table (exposed for experiments).
-    pub fn table(&self) -> &Arc<Db> {
-        &self.table
+            tree,
+            table,
+        }
     }
 }
 
@@ -88,27 +80,29 @@ impl SecondaryIndex for LazyIndex {
         IndexKind::LazyStandalone
     }
 
-    fn on_put(&self, _primary: &Db, pk: &[u8], doc: &Document, seq: u64) -> Result<()> {
-        let Some(value) = doc.attr(&self.attr) else {
-            return Ok(());
-        };
+    fn on_put(
+        &self,
+        _view: &CommitView<'_>,
+        pk: &[u8],
+        value: &AttrValue,
+        seq: u64,
+        out: &mut Vec<BatchOp>,
+    ) -> Result<()> {
         let fragment = encode_postings(&[Posting::insert(pk.to_vec(), seq)])?;
-        self.table.merge(&value.encode(), &fragment)?;
+        out.push(BatchOp::merge(self.tree, &value.encode(), &fragment));
         Ok(())
     }
 
     fn on_delete(
         &self,
-        _primary: &Db,
+        _view: &CommitView<'_>,
         pk: &[u8],
-        old_doc: Option<&Document>,
+        old_value: &AttrValue,
         seq: u64,
+        out: &mut Vec<BatchOp>,
     ) -> Result<()> {
-        let Some(value) = old_doc.and_then(|d| d.attr(&self.attr)) else {
-            return Ok(());
-        };
         let marker = encode_postings(&[Posting::delete(pk.to_vec(), seq)])?;
-        self.table.merge(&value.encode(), &marker)?;
+        out.push(BatchOp::merge(self.tree, &old_value.encode(), &marker));
         Ok(())
     }
 
@@ -246,29 +240,8 @@ impl SecondaryIndex for LazyIndex {
         Ok(hits)
     }
 
-    fn table_bytes(&self) -> u64 {
-        self.table.table_bytes()
-    }
-
-    fn index_stats(&self) -> Option<Arc<IoStats>> {
-        Some(self.table.stats())
-    }
-
-    fn flush(&self) -> Result<()> {
-        self.table.flush()
-    }
-
-    fn wait_for_background_idle(&self) -> Result<()> {
-        self.table.wait_for_background_idle()
-    }
-
-    fn needs_backfill(&self) -> bool {
-        // Never written: no sequence was ever assigned to this table.
-        self.table.last_sequence() == 0
-    }
-
-    fn clear(&self) -> Result<usize> {
-        clear_index_table(&self.table)
+    fn tree(&self) -> Option<(u32, &Arc<Db>)> {
+        Some((self.tree, &self.table))
     }
 
     fn check_integrity(
@@ -277,26 +250,5 @@ impl SecondaryIndex for LazyIndex {
         report: &mut ldbpp_lsm::check::IntegrityReport,
     ) -> Result<()> {
         crate::indexes::check_posting_table(self.kind(), &self.attr, &self.table, primary, report)
-    }
-
-    fn reconcile_dangling(&self, primary: &Db) -> Result<usize> {
-        // Lazy stays append-only even here: merge a deletion-marker
-        // fragment over each stranded posting. Shadowing in both the
-        // merge fold and the lookup walk is by *encounter order* (newest
-        // fragment first), not the embedded sequence, so the marker hides
-        // the stranded entry and any later re-insert of the same pk
-        // shadows the marker in turn — the marker's own seq is only a
-        // recency hint.
-        let mut removed = 0usize;
-        let marker_seq = primary.last_sequence();
-        for (key, dangling) in crate::indexes::collect_dangling_postings(&self.table, primary)? {
-            removed += dangling.len();
-            let markers: Vec<Posting> = dangling
-                .into_iter()
-                .map(|pk| Posting::delete(pk, marker_seq))
-                .collect();
-            self.table.merge(&key, &encode_postings(&markers)?)?;
-        }
-        Ok(removed)
     }
 }

@@ -17,8 +17,8 @@ use crate::indexes::posting::fold_postings;
 use ldbpp_common::Result;
 use ldbpp_lsm::attr::AttrValue;
 use ldbpp_lsm::check::{CheckCode, IntegrityReport};
-use ldbpp_lsm::db::Db;
-use ldbpp_lsm::env::IoStats;
+use ldbpp_lsm::db::{CommitView, Db, DbOptions};
+use ldbpp_lsm::write_batch::{BatchOp, WriteBatch};
 use std::sync::Arc;
 
 /// Which secondary-index technique an attribute uses.
@@ -39,6 +39,23 @@ pub enum IndexKind {
 }
 
 impl IndexKind {
+    /// The options of the LSM tree a stand-alone technique keeps — `base`'s
+    /// sizing, no embedded attributes, the Lazy index's merge operator —
+    /// or `None` for a technique without a tree of its own.
+    pub fn table_options(self, base: &DbOptions) -> Option<DbOptions> {
+        let merge_operator: Option<ldbpp_lsm::merge::MergeOperatorRef> = match self {
+            IndexKind::None | IndexKind::Embedded => return None,
+            IndexKind::EagerStandalone | IndexKind::CompositeStandalone => None,
+            IndexKind::LazyStandalone => Some(Arc::new(PostingListMerge)),
+        };
+        Some(DbOptions {
+            indexed_attrs: Vec::new(),
+            extractor: None,
+            merge_operator,
+            ..base.clone()
+        })
+    }
+
     /// Human-readable name matching the paper's terminology.
     pub fn name(self) -> &'static str {
         match self {
@@ -72,25 +89,46 @@ pub struct LookupHit {
 
 /// The common interface all four index implementations provide.
 ///
-/// `on_put` / `on_delete` run inside the write path after the primary-table
-/// write; `seq` is the sequence number the primary write was assigned, so
-/// postings and composite entries carry the global recency clock.
+/// A stand-alone index is one tree of its shard's commit log
+/// ([`Db::open_with_trees`]). It never writes to its table: `on_put` /
+/// `on_delete` run *inside* the primary write's commit and emit the
+/// operations the write implies for the index tree, which the commit
+/// logs, inserts and publishes together with the primary record. `seq` is
+/// that record's sequence number, so postings and composite entries carry
+/// the global recency clock; reads go through `view`, which also shows
+/// the commit's earlier operations.
 pub trait SecondaryIndex: Send + Sync {
     /// The indexed attribute.
     fn attr(&self) -> &str;
     /// Which technique this is.
     fn kind(&self) -> IndexKind;
-    /// Maintain the index for a PUT of `doc` at `pk`.
-    fn on_put(&self, primary: &Db, pk: &[u8], doc: &Document, seq: u64) -> Result<()>;
-    /// Maintain the index for a DEL of `pk` whose latest record was
-    /// `old_doc` (None when the key did not exist).
+    /// Emit the index-tree operations for a PUT at `pk` of a record whose
+    /// indexed attribute is `value`.
+    fn on_put(
+        &self,
+        _view: &CommitView<'_>,
+        _pk: &[u8],
+        _value: &AttrValue,
+        _seq: u64,
+        _out: &mut Vec<BatchOp>,
+    ) -> Result<()> {
+        Ok(())
+    }
+    /// Emit the index-tree operations for a DEL of `pk` whose latest
+    /// record had the indexed attribute `old_value`.
     fn on_delete(
         &self,
-        primary: &Db,
-        pk: &[u8],
-        old_doc: Option<&Document>,
-        seq: u64,
-    ) -> Result<()>;
+        _view: &CommitView<'_>,
+        _pk: &[u8],
+        _old_value: &AttrValue,
+        _seq: u64,
+        _out: &mut Vec<BatchOp>,
+    ) -> Result<()> {
+        Ok(())
+    }
+    /// Memory-side bookkeeping once a PUT is committed and visible (the
+    /// Embedded Index's memtable-side B-tree).
+    fn after_put(&self, _primary: &Db, _pk: &[u8], _doc: &Document, _seq: u64) {}
     /// `LOOKUP(A, a, K)`: the K most recent valid records with
     /// `val(A) = a` (K = None ⇒ all).
     fn lookup(&self, primary: &Db, value: &AttrValue, k: Option<usize>) -> Result<Vec<LookupHit>>;
@@ -103,87 +141,37 @@ pub trait SecondaryIndex: Send + Sync {
         hi: &AttrValue,
         k: Option<usize>,
     ) -> Result<Vec<LookupHit>>;
-    /// Bytes of any stand-alone index table (0 for the Embedded Index).
-    fn table_bytes(&self) -> u64;
-    /// I/O counters of the stand-alone index table, if one exists.
-    fn index_stats(&self) -> Option<Arc<IoStats>>;
-    /// Flush any stand-alone index table's memtable.
-    fn flush(&self) -> Result<()>;
-    /// Block until any stand-alone index table's background worker is idle
-    /// (no-op for in-memory-only indexes and in foreground mode).
-    fn wait_for_background_idle(&self) -> Result<()> {
-        Ok(())
-    }
-    /// Notification that a primary memtable reached L0 (`generation` is
-    /// the new [`Db::mem_generation`], `flushed_through` the new
-    /// [`Db::flushed_through`] watermark); the Embedded Index prunes its
-    /// memtable-side B-tree down to the entries still in memory.
-    fn on_primary_mem_flush(&self, _generation: u64, _flushed_through: u64) {}
-    /// True when the index's persistent structure has never been written
-    /// and should be rebuilt from the primary table (see
-    /// [`crate::SecondaryDb::backfill_indexes`]).
-    fn needs_backfill(&self) -> bool {
-        false
-    }
-    /// Remove every persisted entry of a stand-alone index table in
-    /// preparation for a full rebuild from the primary (see
-    /// [`crate::SecondaryDb::rebuild_indexes`]). Clearing goes through
-    /// ordinary deletes, so the rebuild that follows shadows any older
-    /// on-disk state by sequence order. Returns the number of index keys
-    /// cleared.
-    ///
-    /// Default: nothing persisted — the Embedded Index's structure lives
-    /// inside primary SSTables and is regenerated by compaction.
-    fn clear(&self) -> Result<usize> {
-        Ok(0)
+    /// The tree of a stand-alone index — its number in the shard's
+    /// commit log and its table — or `None` for the Embedded Index, whose
+    /// structure lives inside primary SSTables and is regenerated by
+    /// compaction.
+    fn tree(&self) -> Option<(u32, &Arc<Db>)> {
+        None
     }
     /// Fold this index's structural violations into `report`: the LSM
     /// checker over any stand-alone table, plus the cross-check that no
     /// live index entry references a primary key with no record at all.
     ///
-    /// Two absences are deliberately tolerated (the documented
-    /// crash-consistency contract): entries whose sequence exceeds the
-    /// primary's last sequence are crash-stranded predictions from the
-    /// index-first write path, and entries whose primary key still carries
-    /// a tombstone are stale leftovers that read-time validation absorbs.
-    /// The cross-check is further gated on [`Db::erased_keys`]` == 0`: once
-    /// base-level compaction has discarded even one key's entire history,
-    /// a stale posting from an update can legitimately outlive its primary
-    /// key, so "no record at all" stops being evidence of corruption.
+    /// An entry whose primary key still carries a tombstone is a stale
+    /// leftover that read-time validation absorbs, not a violation. The
+    /// cross-check is gated on [`Db::erased_keys`]` == 0`: an update
+    /// (u1 → u2) leaves the u1 entry behind by design, and once a delete's
+    /// tombstone has been compacted away at the base level that entry's
+    /// primary key has no record at all — legitimately, crashes or no
+    /// crashes. Short of that, an index entry and its primary record are
+    /// one commit, and a crash can separate them at no point.
     ///
     /// Default: nothing to check (the Embedded Index has no structure of
     /// its own beyond the primary table, which is checked separately).
     fn check_integrity(&self, _primary: &Db, _report: &mut IntegrityReport) -> Result<()> {
         Ok(())
     }
-    /// Remove index entries stranded by a crash: live entries whose primary
-    /// key has *no record at all* (the index-first write path committed the
-    /// index side, the primary write never landed, and no ack went out).
-    ///
-    /// Only sound right after recovery, before any new writes: with no
-    /// in-flight writers, "no primary record" cannot be a transient state,
-    /// and the caller additionally gates on [`Db::erased_keys`]` == 0`
-    /// (once base-level compaction erased a key's history, an orphaned
-    /// stale posting is legitimate, not crash garbage). Read-time
-    /// validation already ignores these entries, so removal never changes
-    /// query results — it only restores the invariant the strict
-    /// [`SecondaryIndex::check_integrity`] cross-check verifies, which
-    /// under concurrent group-commit writers cannot be recovered by
-    /// sequence arithmetic alone (another writer may push the primary's
-    /// last sequence past a stranded posting's predicted sequence).
-    /// Returns the number of entries removed.
-    ///
-    /// Default: nothing persisted to reconcile (Embedded / None).
-    fn reconcile_dangling(&self, _primary: &Db) -> Result<usize> {
-        Ok(0)
-    }
 }
 
 /// Shared [`SecondaryIndex::check_integrity`] body for the two
 /// posting-list indexes (Eager and Lazy): run the LSM checker on the index
 /// table, then verify every live posting references a primary key that has
-/// *some* record (value or tombstone). Deletion markers and
-/// crash-stranded predicted-sequence postings are skipped.
+/// *some* record (value or tombstone). Deletion markers are skipped.
 pub(crate) fn check_posting_table(
     kind: IndexKind,
     attr: &str,
@@ -193,7 +181,6 @@ pub(crate) fn check_posting_table(
 ) -> Result<()> {
     let ctx = format!("{kind} index '{attr}'");
     report.merge(&ctx, table.check_integrity());
-    let primary_last = primary.last_sequence();
     // Once the primary has fully erased any key at the base level, a stale
     // posting (left behind by an update, then orphaned by a delete whose
     // tombstone was compacted away) is indistinguishable from corruption —
@@ -215,7 +202,7 @@ pub(crate) fn check_posting_table(
         // Fold to the newest posting per primary key: older entries are
         // shadowed and never consulted, so only the newest can dangle.
         for p in fold_postings(&[postings], true) {
-            if !strict || p.deleted || p.seq > primary_last {
+            if !strict || p.deleted {
                 continue;
             }
             if primary.newest_record(&p.pk)?.is_none() {
@@ -234,58 +221,25 @@ pub(crate) fn check_posting_table(
     Ok(())
 }
 
-/// Crash-stranded postings grouped by index key: `(encoded index key,
-/// dangling pks)` pairs, as collected by [`collect_dangling_postings`].
-pub(crate) type DanglingPostings = Vec<(Vec<u8>, Vec<Vec<u8>>)>;
-
-/// Shared [`SecondaryIndex::reconcile_dangling`] scan for the two
-/// posting-list indexes: the live postings (newest per primary key, as in
-/// [`check_posting_table`]) whose primary key has no record at all,
-/// grouped as `(encoded index key, dangling pks)`. Collect-then-apply —
-/// the caller's fixups run only after the scan finishes, so the iterator
-/// never races the writes it feeds.
-pub(crate) fn collect_dangling_postings(table: &Db, primary: &Db) -> Result<DanglingPostings> {
-    let mut out: DanglingPostings = Vec::new();
-    let mut it = table.resolved_iter()?;
-    it.seek_to_first();
-    while let Some((key, _seq, value)) = it.next_entry()? {
-        // Undecodable lists are the checker's department, not ours.
-        let Ok(postings) = posting::decode_postings(&value) else {
-            continue;
-        };
-        let mut dangling = Vec::new();
-        for p in fold_postings(&[postings], true) {
-            // No sequence exemption here (unlike the checker): recovery
-            // runs single-threaded, so every live entry without a primary
-            // record is un-acked crash garbage regardless of its seq.
-            if !p.deleted && primary.newest_record(&p.pk)?.is_none() {
-                dangling.push(p.pk);
-            }
-        }
-        if !dangling.is_empty() {
-            out.push((key, dangling));
-        }
-    }
-    Ok(out)
-}
-
-/// Shared [`SecondaryIndex::clear`] body for the stand-alone indexes:
-/// tombstone every live key of the index's own table. Collecting the keys
-/// first keeps the scan independent of the deletes it feeds; the Lazy
-/// index's merge-operand chains are cut the same way — a deletion marker
-/// newer than every fragment ends operand collection at the boundary.
-pub(crate) fn clear_index_table(table: &Db) -> Result<usize> {
-    let mut keys = Vec::new();
+/// Remove every persisted entry of a stand-alone index's tree in
+/// preparation for a full rebuild from the primary (see
+/// [`crate::SecondaryDb::rebuild_indexes`]): tombstone every live key of
+/// index tree `tree`, in one commit of `primary`'s log, so the rebuild
+/// that follows shadows any older on-disk state by sequence order. The
+/// Lazy index's merge-operand chains are cut the same way — a deletion
+/// marker newer than every fragment ends operand collection at the
+/// boundary. Returns the number of index keys cleared.
+pub(crate) fn clear_index_table(primary: &Db, tree: u32, table: &Db) -> Result<usize> {
+    let mut batch = WriteBatch::new();
     let mut it = table.resolved_iter()?;
     it.seek_to_first();
     while let Some((key, _seq, _value)) = it.next_entry()? {
-        keys.push(key);
+        batch.push(&BatchOp::delete(tree, &key));
     }
-    let cleared = keys.len();
-    for key in keys {
-        table.delete(&key)?;
+    if !batch.is_empty() {
+        primary.write(&mut batch)?;
     }
-    Ok(cleared)
+    Ok(batch.count() as usize)
 }
 
 /// Fetch `pk` from the primary table and keep it only if `pred` holds on

@@ -19,8 +19,6 @@ pub mod advisor;
 pub mod cost;
 pub mod doc;
 pub mod indexes;
-#[cfg(feature = "check")]
-pub mod model_bugs;
 pub mod secondary_db;
 pub mod topk;
 

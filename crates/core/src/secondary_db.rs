@@ -3,14 +3,18 @@
 //! A [`SecondaryDb`] is a router over `N` hash-partitioned **engine
 //! shards**. Each shard is an independent primary LSM table — its own
 //! directory, memtable, WAL, group-commit queue, and background worker —
-//! plus, per indexed attribute, one of the paper's index techniques. The
+//! plus, per indexed attribute, one of the paper's index techniques. A
+//! stand-alone index is an LSM tree of its own next to the primary, but
+//! the primary's WAL is the shard's only commit log: a write and the
+//! index entries it implies are one record, one sequence number, and
+//! become visible together. The
 //! facade exposes exactly the paper's operation set (Table 1): `GET`,
 //! `PUT`, `DEL`, `LOOKUP(A, a, K)` and `RANGELOOKUP(A, a, b, K)`.
 //!
 //! * **Writes** route by a hash of the primary key: a `PUT`/`DEL` touches
-//!   exactly one shard, so the group-commit protocol (DESIGN.md §14) and
-//!   the index-before-primary crash-consistency contract apply per shard
-//!   unchanged.
+//!   exactly one shard and is one group-commit batch of that shard
+//!   (DESIGN.md §14) — atomic across its primary table and its indexes,
+//!   at every crash point.
 //! * **Reads** (`LOOKUP`, `RANGELOOKUP`, `scan_primary`) scatter across
 //!   all shards in parallel and gather through the K-bounded merges in
 //!   [`crate::topk`]. Cross-shard recency ordering is exact because all
@@ -28,17 +32,19 @@
 
 use crate::doc::{Document, JsonAttrExtractor};
 use crate::indexes::{
-    CompositeIndex, EagerIndex, EmbeddedIndex, EmbeddedValidation, IndexKind, LazyIndex, LookupHit,
-    SecondaryIndex,
+    clear_index_table, CompositeIndex, EagerIndex, EmbeddedIndex, EmbeddedValidation, IndexKind,
+    LazyIndex, LookupHit, SecondaryIndex,
 };
 use crate::topk::{merge_key_ordered, merge_newest_first, TopK};
 use ldbpp_common::json::Value;
 use ldbpp_common::{Error, Result};
 use ldbpp_lsm::attr::AttrValue;
 use ldbpp_lsm::check::{CheckCode, IntegrityReport};
-use ldbpp_lsm::db::{Db, DbOptions, SharedSequence};
+use ldbpp_lsm::db::{CommitView, Db, DbOptions, DeriveOps, SharedSequence};
 use ldbpp_lsm::env::{Env, IoSnapshot, MemEnv};
+use ldbpp_lsm::ikey::ValueType;
 use ldbpp_lsm::sync::{AtomicU64, Ordering};
+use ldbpp_lsm::write_batch::{BatchOp, WriteBatch};
 use std::sync::Arc;
 
 /// How a scatter-gather read treats a failing shard (DESIGN.md §18).
@@ -266,14 +272,58 @@ fn route_hash(pk: &[u8]) -> u64 {
 
 /// One hash-partition of the key space: an independent primary `Db` plus
 /// this shard's slice of every declared index. All the single-engine
-/// semantics (crash-consistency ordering, validation, healing) live here,
-/// unchanged from the pre-sharding engine; [`SecondaryDb`] routes and
-/// aggregates.
+/// semantics (atomic commits, validation, healing) live here;
+/// [`SecondaryDb`] routes and aggregates.
 struct EngineShard {
     primary: Arc<Db>,
-    indexes: Vec<Box<dyn SecondaryIndex>>,
+    /// Shared with the [`IndexOps`] of every write in flight.
+    indexes: Arc<Vec<Box<dyn SecondaryIndex>>>,
     /// Attributes declared with [`IndexKind::None`] (full-scan fallback).
     unindexed: Vec<String>,
+}
+
+/// What one PUT or DEL implies for the shard's stand-alone index trees,
+/// worked out by the commit that carries it.
+struct IndexOps {
+    indexes: Arc<Vec<Box<dyn SecondaryIndex>>>,
+    /// For a PUT, the record's value of each index's attribute (taken
+    /// from the document before it was serialised); empty for a DEL.
+    values: Vec<Option<AttrValue>>,
+}
+
+impl DeriveOps for IndexOps {
+    fn derive(
+        &self,
+        view: &CommitView<'_>,
+        seq: u64,
+        op: &BatchOp,
+        out: &mut Vec<BatchOp>,
+    ) -> Result<()> {
+        match op.vtype {
+            ValueType::Value => {
+                for (index, value) in self.indexes.iter().zip(&self.values) {
+                    if let Some(value) = value {
+                        index.on_put(view, &op.key, value, seq, out)?;
+                    }
+                }
+            }
+            // The indexes need the record the DEL removes, to find which
+            // posting list / composite key to mark. Read inside the
+            // commit, it is the record the tombstone actually shadows.
+            ValueType::Deletion => {
+                if let Some(bytes) = view.get(0, &op.key)? {
+                    let old = Document::parse(&bytes)?;
+                    for index in self.indexes.iter() {
+                        if let Some(value) = old.attr(index.attr()) {
+                            index.on_delete(view, &op.key, &value, seq, out)?;
+                        }
+                    }
+                }
+            }
+            ValueType::Merge => {}
+        }
+        Ok(())
+    }
 }
 
 impl EngineShard {
@@ -295,72 +345,53 @@ impl EngineShard {
             primary_opts.indexed_attrs = embedded_attrs;
             primary_opts.extractor = Some(Arc::new(JsonAttrExtractor));
         }
-        let primary = Arc::new(Db::open(Arc::clone(env), name, primary_opts)?);
+        // One tree per stand-alone index, in declaration order, all behind
+        // the primary's commit log.
+        let trees: Vec<(String, DbOptions)> = specs
+            .iter()
+            .filter_map(|(attr, kind)| {
+                let table_opts = kind.table_options(&opts.base)?;
+                Some((format!("{name}_idx_{attr}"), table_opts))
+            })
+            .collect();
+        let primary = Arc::new(Db::open_with_trees(
+            Arc::clone(env),
+            name,
+            primary_opts,
+            &trees,
+        )?);
 
         let mut indexes: Vec<Box<dyn SecondaryIndex>> = Vec::new();
         let mut unindexed = Vec::new();
+        let mut tables = (1u32..).zip(primary.trees().iter().cloned());
         for (attr, kind) in specs {
-            let path = format!("{name}_idx_{attr}");
-            match kind {
-                IndexKind::None => unindexed.push(attr.to_string()),
-                IndexKind::Embedded => indexes.push(Box::new(EmbeddedIndex::with_validation(
+            let index: Box<dyn SecondaryIndex> = match kind {
+                IndexKind::None => {
+                    unindexed.push(attr.to_string());
+                    continue;
+                }
+                IndexKind::Embedded => Box::new(EmbeddedIndex::with_validation(
                     attr,
                     opts.embedded_validation,
-                ))),
-                IndexKind::EagerStandalone => indexes.push(Box::new(EagerIndex::open(
-                    Arc::clone(env),
-                    &path,
-                    attr,
-                    &opts.base,
-                )?)),
-                IndexKind::LazyStandalone => indexes.push(Box::new(LazyIndex::open(
-                    Arc::clone(env),
-                    &path,
-                    attr,
-                    &opts.base,
-                )?)),
-                IndexKind::CompositeStandalone => indexes.push(Box::new(CompositeIndex::open(
-                    Arc::clone(env),
-                    &path,
-                    attr,
-                    &opts.base,
-                )?)),
-            }
+                )),
+                standalone => {
+                    let Some((tree, table)) = tables.next() else {
+                        return Err(Error::invalid("index tree missing from its shard"));
+                    };
+                    match standalone {
+                        IndexKind::EagerStandalone => Box::new(EagerIndex::new(attr, tree, table)),
+                        IndexKind::LazyStandalone => Box::new(LazyIndex::new(attr, tree, table)),
+                        _ => Box::new(CompositeIndex::new(attr, tree, table)),
+                    }
+                }
+            };
+            indexes.push(index);
         }
-        let shard = EngineShard {
+        Ok(EngineShard {
             primary,
-            indexes,
+            indexes: Arc::new(indexes),
             unindexed,
-        };
-        shard.reconcile_after_recovery()?;
-        Ok(shard)
-    }
-
-    /// Crash-recovery hygiene for the index-first write path: after an
-    /// *unclean* open (any WAL replayed records — a clean shutdown flushes
-    /// and rotates every log, so clean reopens replay nothing), drop index
-    /// entries whose primary write never landed. Runs before the shard
-    /// serves any request, so "no primary record" is definitive; see
-    /// [`SecondaryIndex::reconcile_dangling`] for why the strict integrity
-    /// cross-check cannot absorb these by sequence arithmetic once
-    /// concurrent writers have interleaved group commits.
-    fn reconcile_after_recovery(&self) -> Result<()> {
-        let unclean = self.primary.stats().snapshot().wal_replays > 0
-            || self
-                .indexes
-                .iter()
-                .filter_map(|i| i.index_stats())
-                .any(|s| s.snapshot().wal_replays > 0);
-        // The erased-keys gate mirrors the checker's: once any key's full
-        // history is gone from the primary, a record-less pk in an index
-        // is no longer evidence that the entry is crash garbage.
-        if !unclean || self.primary.erased_keys() != 0 {
-            return Ok(());
-        }
-        for index in &self.indexes {
-            index.reconcile_dangling(&self.primary)?;
-        }
-        Ok(())
+        })
     }
 
     /// The index handling `attr`, if any.
@@ -371,82 +402,46 @@ impl EngineShard {
             .find(|i| i.attr() == attr)
     }
 
-    /// Write a record and maintain this shard's indexes.
-    ///
-    /// Crash-consistency ordering: maintain the *stand-alone* indexes
-    /// BEFORE the primary write. A crash between the two steps can then
-    /// only strand index entries whose primary record never landed —
-    /// false positives that every lookup already filters out by
-    /// validating candidates against the primary. The opposite order
-    /// would strand primary records invisible to LOOKUP (false
-    /// negatives), which nothing repairs. This contract holds *per
-    /// logical batch* under the shard's group-commit queue (DESIGN.md
-    /// §14): each `put` finishes its index writes before enqueueing its
-    /// primary write, so whichever group the primary write lands in,
-    /// its index entries are already durable-or-earlier. The sequence
-    /// the primary write will use is predicted by the caller; concurrent
-    /// writers grouping ahead of us can make the real sequence larger,
-    /// but validation re-reads the primary anyway, so the race only
-    /// skews the recency hint stored in the posting.
-    fn put(&self, pk: &[u8], doc: &Document, predicted_seq: u64) -> Result<u64> {
-        for index in &self.indexes {
-            if index.kind() != IndexKind::Embedded {
-                index.on_put(&self.primary, pk, doc, predicted_seq)?;
-            }
+    /// Commit a one-operation batch together with what it implies for
+    /// the stand-alone indexes.
+    fn commit(&self, batch: &mut WriteBatch, values: Vec<Option<AttrValue>>) -> Result<u64> {
+        if self.primary.trees().is_empty() {
+            return self.primary.write(batch);
         }
-        let seq = self.primary.put(pk, &doc.to_bytes())?;
-        // The Embedded Index shadows the memtable: it must record the real
-        // sequence of an entry that actually exists, so it stays after the
-        // primary write (it is memory-only — rebuilt on recovery — so the
-        // ordering has no crash-consistency cost).
-        for index in &self.indexes {
-            if index.kind() == IndexKind::Embedded {
-                index.on_put(&self.primary, pk, doc, seq)?;
-            }
+        let ops = IndexOps {
+            indexes: Arc::clone(&self.indexes),
+            values,
+        };
+        self.primary.write_derived(batch, Arc::new(ops))
+    }
+
+    /// Write a record and maintain this shard's indexes: one commit, so a
+    /// crash leaves the record with all of its index entries or none of
+    /// either, and every entry carries the record's own sequence number.
+    fn put(&self, pk: &[u8], doc: &Document) -> Result<u64> {
+        let values = if self.primary.trees().is_empty() {
+            Vec::new()
+        } else {
+            self.indexes.iter().map(|i| doc.attr(i.attr())).collect()
+        };
+        let mut batch = WriteBatch::new();
+        batch.put(pk, &doc.to_bytes());
+        let seq = self.commit(&mut batch, values)?;
+        // The Embedded Index shadows the memtable: it records the sequence
+        // of an entry that exists, so it comes after the commit (it is
+        // memory-only — rebuilt on recovery — so the ordering has no
+        // crash-consistency cost).
+        for index in self.indexes.iter() {
+            index.after_put(&self.primary, pk, doc, seq);
         }
         Ok(seq)
     }
 
-    /// Delete a record and maintain this shard's indexes.
+    /// Delete a record and maintain this shard's indexes, in one commit.
     fn delete(&self, pk: &[u8]) -> Result<()> {
-        // Stand-alone indexes need the old record to find which posting
-        // list / composite key to mark; the Embedded Index does not (its
-        // validity checks absorb stale entries), keeping its DEL at a
-        // single write as in the paper's Table 3.
-        let needs_old = self.indexes.iter().any(|i| i.kind() != IndexKind::Embedded);
-        let old_doc = if needs_old {
-            match self.primary.get(pk)? {
-                Some(bytes) => Some(Document::parse(&bytes)?),
-                None => None,
-            }
-        } else {
-            None
-        };
-        // Seeded bug (model-checker fault injection, off by default): run
-        // the index cleanup *before* the primary tombstone. A concurrent
-        // put of the same key can then land its index entry between the
-        // two steps and its primary write before the tombstone, leaving a
-        // live posting for a deleted record — the dangling entry the
-        // correct ordering below makes impossible.
-        #[cfg(feature = "check")]
-        if crate::model_bugs::tombstone_after_cleanup() {
-            let seq = self.primary.last_sequence() + 1;
-            for index in &self.indexes {
-                index.on_delete(&self.primary, pk, old_doc.as_ref(), seq)?;
-            }
-            self.primary.delete(pk)?;
-            return Ok(());
-        }
-        // Deletes keep the opposite ordering from puts (primary first): a
-        // crash after the tombstone but before the index cleanup leaves a
-        // stale index entry, which validation against the primary filters
-        // out. Cleaning the index first would instead make a still-live
-        // record unfindable if the crash lands between the two steps.
-        let seq = self.primary.delete(pk)?;
-        for index in &self.indexes {
-            index.on_delete(&self.primary, pk, old_doc.as_ref(), seq)?;
-        }
-        Ok(())
+        let mut batch = WriteBatch::new();
+        batch.delete(pk);
+        self.commit(&mut batch, Vec::new()).map(|_| ())
     }
 
     /// This shard's `LOOKUP`: dispatch to the index, the full-scan
@@ -544,7 +539,7 @@ impl EngineShard {
     /// Run the full structural invariant catalogue over this shard.
     fn check_integrity(&self) -> IntegrityReport {
         let mut report = self.primary.check_integrity();
-        for index in &self.indexes {
+        for index in self.indexes.iter() {
             if let Err(e) = index.check_integrity(&self.primary, &mut report) {
                 report.push(
                     CheckCode::TableUnreadable,
@@ -567,7 +562,11 @@ impl EngineShard {
             .indexes
             .iter()
             .map(|b| b.as_ref())
-            .filter(|i| i.needs_backfill())
+            // Never written: no operation was ever applied to its tree.
+            .filter(|i| {
+                i.tree()
+                    .is_some_and(|(_, table)| table.tree_sequence() == 0)
+            })
             .collect();
         if to_fill.is_empty() {
             return Ok(0);
@@ -588,8 +587,8 @@ impl EngineShard {
         if standalone.is_empty() {
             return Ok(0);
         }
-        for index in &standalone {
-            index.clear()?;
+        for (tree, table) in standalone.iter().filter_map(|i| i.tree()) {
+            clear_index_table(&self.primary, tree, table)?;
         }
         self.replay_primary_into(&standalone)
     }
@@ -620,9 +619,11 @@ impl EngineShard {
     }
 
     /// Replay every live primary record into `targets` with its original
-    /// sequence number (so recency ordering is preserved). Idempotent —
-    /// postings and composite entries dedup by primary key.
+    /// sequence number (so recency ordering is preserved): one commit of
+    /// index-tree operations per record, emitted by the code a PUT runs.
+    /// Idempotent — postings and composite entries dedup by primary key.
     fn replay_primary_into(&self, targets: &[&dyn SecondaryIndex]) -> Result<usize> {
+        let view = self.primary.commit_view();
         let mut it = self.primary.resolved_iter()?;
         it.seek_to_first();
         let mut replayed = 0usize;
@@ -630,8 +631,18 @@ impl EngineShard {
             let Ok(doc) = Document::parse(&bytes) else {
                 continue;
             };
+            let mut ops = Vec::new();
             for index in targets {
-                index.on_put(&self.primary, &pk, &doc, seq)?;
+                if let Some(value) = doc.attr(index.attr()) {
+                    index.on_put(&view, &pk, &value, seq, &mut ops)?;
+                }
+            }
+            let mut batch = WriteBatch::new();
+            for op in &ops {
+                batch.push(op);
+            }
+            if !batch.is_empty() {
+                self.primary.write(&mut batch)?;
             }
             replayed += 1;
         }
@@ -665,12 +676,7 @@ impl EngineShard {
 
     /// Combined I/O snapshot of this shard's stand-alone index tables.
     fn index_io(&self) -> IoSnapshot {
-        IoSnapshot::merge(
-            self.indexes
-                .iter()
-                .filter_map(|i| i.index_stats())
-                .map(|stats| stats.snapshot()),
-        )
+        IoSnapshot::merge(self.primary.trees().iter().map(|t| t.stats().snapshot()))
     }
 }
 
@@ -956,9 +962,9 @@ impl SecondaryDb {
             return Err(Error::invalid("empty primary key"));
         }
         let shard = &self.shards[self.shard_of(pk)];
-        // Reject inputs an index would later refuse *before* the primary
-        // write, so a failed put never leaves the primary and its indexes
-        // divergent (posting-list indexes serialize keys into JSON).
+        // Reject inputs an index would refuse before they reach the commit,
+        // where a failed derivation fails every write grouped with it
+        // (posting-list indexes serialize keys into JSON).
         let needs_text_pk = shard.indexes.iter().any(|i| {
             matches!(
                 i.kind(),
@@ -970,16 +976,7 @@ impl SecondaryDb {
                 "posting-list indexes require UTF-8 primary keys",
             ));
         }
-        // Recency hint for the stand-alone index write that precedes the
-        // primary write (see `EngineShard::put`). Sharded, the prediction
-        // comes from the shared clock — the next allocation is at least
-        // `current() + 1`, preserving the hint's "no smaller than the real
-        // sequence's predecessor" contract across shards.
-        let predicted_seq = match &self.clock {
-            Some(clock) => clock.current() + 1,
-            None => shard.primary.last_sequence() + 1,
-        };
-        shard.put(pk, doc, predicted_seq)
+        shard.put(pk, doc)
     }
 
     /// `DEL(k)`: delete a record on its shard and maintain that shard's
@@ -1272,8 +1269,8 @@ impl SecondaryDb {
     pub fn flush(&self) -> Result<()> {
         for shard in &self.shards {
             shard.primary.flush()?;
-            for index in &shard.indexes {
-                index.flush()?;
+            for table in shard.primary.trees() {
+                table.flush()?;
             }
         }
         Ok(())
@@ -1286,8 +1283,8 @@ impl SecondaryDb {
     pub fn wait_for_background_idle(&self) -> Result<()> {
         for shard in &self.shards {
             shard.primary.wait_for_background_idle()?;
-            for index in &shard.indexes {
-                index.wait_for_background_idle()?;
+            for table in shard.primary.trees() {
+                table.wait_for_background_idle()?;
             }
         }
         Ok(())
@@ -1303,8 +1300,8 @@ impl SecondaryDb {
     pub fn index_bytes(&self) -> u64 {
         self.shards
             .iter()
-            .flat_map(|s| s.indexes.iter())
-            .map(|i| i.table_bytes())
+            .flat_map(|s| s.primary.trees())
+            .map(|t| t.table_bytes())
             .sum()
     }
 
@@ -1325,7 +1322,8 @@ impl SecondaryDb {
                     .shards
                     .iter()
                     .filter_map(|s| s.indexes.get(pos))
-                    .map(|idx| idx.table_bytes())
+                    .filter_map(|idx| idx.tree())
+                    .map(|(_, table)| table.table_bytes())
                     .sum();
                 (i.attr().to_string(), total)
             })
@@ -1337,7 +1335,8 @@ impl SecondaryDb {
     /// [`ldbpp_lsm::env::IoStats`] handle cannot be aggregated across
     /// shards; for cross-shard totals snapshot [`SecondaryDb::index_io`].)
     pub fn index_stats_of(&self, attr: &str) -> Option<Arc<ldbpp_lsm::env::IoStats>> {
-        self.shards[0].index_for(attr).and_then(|i| i.index_stats())
+        let (_, table) = self.shards[0].index_for(attr)?.tree()?;
+        Some(table.stats())
     }
 
     /// Combined I/O snapshot of every stand-alone index table on every

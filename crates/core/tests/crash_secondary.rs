@@ -5,21 +5,26 @@
 //! mid-write, deep-cloned, and reopened cold. After recovery:
 //!
 //! * the primary table holds exactly the acknowledged operations (plus, at
-//!   most, the single in-flight operation the crash interrupted — deletes
-//!   go primary-first, so a crash between the primary delete and the index
-//!   maintenance legitimately leaves the delete durable but unacked);
-//! * every index answers `LOOKUP` and `RANGELOOKUP` **identically to a
-//!   model rebuilt from the recovered primary** — stale entries must
-//!   validate away, and a primary-visible document must never be missing
-//!   from an index answer (a false negative is permanent data loss);
+//!   most, the single in-flight operation the crash interrupted — its
+//!   record can reach the log without the acknowledgement reaching the
+//!   caller);
+//! * **index ≡ primary**: a record and its index entries are one log
+//!   record, so `check_integrity` reports no violation at all — no
+//!   `DanglingIndexEntry`, with no tolerance — every acknowledged PUT is
+//!   both GETtable and LOOKUPable, and every index answers `LOOKUP` and
+//!   `RANGELOOKUP` **identically to a model rebuilt from the recovered
+//!   primary** (a false negative is permanent data loss);
 //! * the reopened database accepts new writes and indexes them.
 //!
 //! Each index kind is swept in both foreground and background mode; set
 //! `CRASH_SWEEP_FULL=1` to sweep every operation index instead of the
-//! capped default.
+//! capped default. Two further sweeps aim at the seams of the one-log
+//! design: with `wal_sync`, the crash points between a commit's WAL append
+//! and its memtable inserts; and the crash points of a *recovering* open,
+//! where each index tree flushes and commits its own progress.
 
 use ldbpp_common::json::Value;
-use ldbpp_core::{Document, IndexKind, SecondaryDb, SecondaryDbOptions};
+use ldbpp_core::{CheckCode, Document, IndexKind, SecondaryDb, SecondaryDbOptions};
 use ldbpp_lsm::db::DbOptions;
 use ldbpp_lsm::env::{FaultEnv, MemEnv};
 use proptest::prelude::*;
@@ -98,12 +103,29 @@ fn apply(model: &mut Model, op: &Op) {
     }
 }
 
-fn opts(background: bool) -> SecondaryDbOptions {
+/// How a run's engine is configured.
+#[derive(Debug, Clone, Copy)]
+struct Mode {
+    background: bool,
+    wal_sync: bool,
+}
+
+impl From<bool> for Mode {
+    fn from(background: bool) -> Mode {
+        Mode {
+            background,
+            wal_sync: false,
+        }
+    }
+}
+
+fn opts(mode: Mode) -> SecondaryDbOptions {
     let mut base = DbOptions::small();
     base.write_buffer_size = 1536;
     base.max_file_size = 1024;
     base.l0_compaction_trigger = 2;
-    base.background_work = background;
+    base.background_work = mode.background;
+    base.wal_sync = mode.wal_sync;
     SecondaryDbOptions {
         base,
         ..Default::default()
@@ -113,17 +135,17 @@ fn opts(background: bool) -> SecondaryDbOptions {
 fn open_db(
     env: Arc<MemEnv>,
     kind: IndexKind,
-    background: bool,
+    mode: impl Into<Mode>,
 ) -> ldbpp_common::Result<SecondaryDb> {
-    open_db_fault(FaultEnv::new(env), kind, background)
+    open_db_fault(FaultEnv::new(env), kind, mode)
 }
 
 fn open_db_fault(
     env: Arc<FaultEnv>,
     kind: IndexKind,
-    background: bool,
+    mode: impl Into<Mode>,
 ) -> ldbpp_common::Result<SecondaryDb> {
-    SecondaryDb::open(env, "db", opts(background), &[(ATTR, kind)])
+    SecondaryDb::open(env, "db", opts(mode.into()), &[(ATTR, kind)])
 }
 
 fn sweep_points(total: u64) -> Vec<u64> {
@@ -157,7 +179,12 @@ struct RunResult {
     total_ops: u64,
 }
 
-fn run_once(ops: &[Op], kind: IndexKind, background: bool, crash_at: Option<u64>) -> RunResult {
+fn run_once(
+    ops: &[Op],
+    kind: IndexKind,
+    mode: impl Into<Mode>,
+    crash_at: Option<u64>,
+) -> RunResult {
     let mem = MemEnv::new();
     let fenv = FaultEnv::new(mem.clone());
     if let Some(k) = crash_at {
@@ -165,7 +192,7 @@ fn run_once(ops: &[Op], kind: IndexKind, background: bool, crash_at: Option<u64>
     }
     let mut acked = Model::new();
     let mut with_inflight: Option<Model> = None;
-    let db = open_db_fault(fenv.clone(), kind, background);
+    let db = open_db_fault(fenv.clone(), kind, mode);
     if let Ok(db) = &db {
         for op in ops {
             let ok = match op {
@@ -208,16 +235,18 @@ fn model_doc_matches(doc: &Document, (c, salt): (usize, usize)) -> bool {
     doc.get(ATTR) == Some(&color(c)) && doc.get("Salt") == Some(&Value::Int(salt as i64))
 }
 
-/// Reopen the crashed image and verify every recovery invariant.
-fn check_recovery(run: &RunResult, kind: IndexKind, context: &str) {
+/// Reopen the crashed image and verify every recovery invariant. Returns
+/// the recovered primary contents.
+fn check_recovery(run: &RunResult, kind: IndexKind, context: &str) -> Model {
     let db = open_db(run.image.deep_clone(), kind, false)
         .unwrap_or_else(|e| panic!("reopen must succeed ({context}): {e}"));
 
     // -- Structure: primary and every index table pass the invariant
-    //    catalogue, including the index→primary dangling cross-check. --
+    //    catalogue, including the index→primary dangling cross-check,
+    //    which excuses no entry by its sequence number. --
     let report = db.check_integrity();
     assert!(
-        report.is_clean(),
+        !report.has(CheckCode::DanglingIndexEntry) && report.is_clean(),
         "integrity violations after recovery ({context}):\n{report}"
     );
 
@@ -245,6 +274,27 @@ fn check_recovery(run: &RunResult, kind: IndexKind, context: &str) {
         run.acked,
         run.with_inflight
     );
+
+    // -- Every acknowledged PUT (that the in-flight operation did not
+    //    overwrite) is GETtable and LOOKUPable. --
+    for (k, (c, salt)) in &run.acked {
+        if recovered.get(k) != Some(&(*c, *salt)) {
+            continue;
+        }
+        let got = db
+            .get(k)
+            .unwrap()
+            .unwrap_or_else(|| panic!("acked {k} lost ({context})"));
+        assert!(
+            model_doc_matches(&got, (*c, *salt)),
+            "acked {k} stale ({context})"
+        );
+        let hits = db.lookup(ATTR, &color(*c), None).unwrap();
+        assert!(
+            hits.iter().any(|h| h.key == k.as_bytes()),
+            "acked {k} not LOOKUPable ({context})"
+        );
+    }
 
     // -- Indexes: identical answers to a model over the recovered primary. --
     for c in 0..4 {
@@ -303,6 +353,7 @@ fn check_recovery(run: &RunResult, kind: IndexKind, context: &str) {
         hits.iter().any(|h| h.key == b"fresh"),
         "post-recovery write not indexed ({context})"
     );
+    recovered
 }
 
 fn crash_sweep(kind: IndexKind, background: bool) {
@@ -383,6 +434,81 @@ fn crash_sweep_unindexed_background() {
 }
 
 // ---------------------------------------------------------------------------
+// The seams of the one-log design
+// ---------------------------------------------------------------------------
+
+/// With `wal_sync` every commit is an append, then a sync, then the
+/// memtable inserts. A crash at the sync leaves the record in the log and
+/// in no memtable — neither the primary's nor any index tree's: the caller
+/// saw an error, and recovery must bring the operation back whole (record
+/// *and* index entries) or not at all.
+#[test]
+fn crash_sweep_between_wal_append_and_memtable_apply() {
+    let ops = script(16, 0xA11CE);
+    for kind in ALL_KINDS {
+        for background in [false, true] {
+            let mode = Mode {
+                background,
+                wal_sync: true,
+            };
+            let probe = run_once(&ops, kind, mode, None);
+            let mut came_back_whole = 0;
+            for k in sweep_points(probe.total_ops) {
+                let run = run_once(&ops, kind, mode, Some(k));
+                let context = format!("{kind:?} synced crash at op {k} bg={background}");
+                let recovered = check_recovery(&run, kind, &context);
+                if recovered != run.acked {
+                    came_back_whole += 1;
+                }
+            }
+            assert!(
+                came_back_whole > 0,
+                "{kind:?} bg={background}: no crash point landed between append and apply"
+            );
+        }
+    }
+}
+
+/// Crash a *recovering* open at every one of its operations. Recovery
+/// replays the one log into every tree and each index tree's flush commits
+/// that tree's progress in its own MANIFEST, before the primary's; the
+/// next open must skip exactly what each tree already holds. (The Lazy
+/// index's operands are MERGEs: `shard_log_test.rs` in `ldbpp-lsm` pins
+/// that none is applied twice with an operator that would show it.)
+#[test]
+fn crash_sweep_during_recovery_flush_of_index_trees() {
+    let ops = script(24, 0xFEEDBEEF);
+    for kind in ALL_KINDS {
+        for background in [false, true] {
+            // A dirty image: tables in both trees plus an unflushed log.
+            let probe = run_once(&ops, kind, background, None);
+            let base = run_once(&ops, kind, background, Some(probe.total_ops * 7 / 8));
+            let recovering = FaultEnv::new(base.image.deep_clone());
+            drop(open_db_fault(recovering.clone(), kind, false).expect("probe reopen"));
+            for j in sweep_points(recovering.op_count()) {
+                let image = base.image.deep_clone();
+                let fenv = FaultEnv::new(image.clone());
+                fenv.set_crash_point(j);
+                // The interrupted open may succeed or fail; either way the
+                // image it leaves behind must recover to the same contents.
+                drop(open_db_fault(fenv, kind, false));
+                let run = RunResult {
+                    image,
+                    acked: base.acked.clone(),
+                    with_inflight: base.with_inflight.clone(),
+                    total_ops: 0,
+                };
+                check_recovery(
+                    &run,
+                    kind,
+                    &format!("{kind:?} bg={background} recovery crash at op {j}"),
+                );
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Pinned regressions
 // ---------------------------------------------------------------------------
 
@@ -392,10 +518,10 @@ fn crash_sweep_unindexed_background() {
 /// `SecondaryDb::put` used to write the primary before the stand-alone
 /// indexes; a crash in between persisted the document with no index entry —
 /// a *permanent* false negative (validation can absorb extra index entries,
-/// never missing ones). Maintenance now goes index-first: the crash window
-/// leaves only validatable false positives. This sweeps every operation
-/// index of one PUT and demands any primary-visible document be found
-/// through the index.
+/// never missing ones). The document and its index entries are now one log
+/// record: there is no in-between. This sweeps every operation index of
+/// one PUT and demands any primary-visible document be found through the
+/// index.
 #[test]
 fn regression_crash_inside_put_never_loses_index_entry() {
     for kind in [
@@ -419,8 +545,8 @@ fn regression_crash_inside_put_never_loses_index_entry() {
     }
 }
 
-/// Pinned regression: a crash splitting a DELETE leaves at worst a stale
-/// index entry, which validation must absorb — never a resurrected document.
+/// Pinned regression: a crash cannot split a DELETE — the tombstone and the
+/// index cleanup are one log record — and never resurrects a document.
 #[test]
 fn regression_crash_inside_delete_leaves_no_ghosts() {
     for kind in [

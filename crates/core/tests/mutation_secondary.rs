@@ -1,13 +1,16 @@
 //! Mutation tests for the cross-table invariant: stand-alone index entries
 //! must not reference primary keys with no record at all. Seeds ghost
-//! entries directly into index tables (bypassing the write path, as a bug
-//! in it would) and asserts `check_integrity` reports each with a precise
+//! entries directly into index tables (behind the facade's back — the
+//! write path itself cannot produce one, an entry and its record being one
+//! commit) and asserts `check_integrity` reports each with a precise
 //! diagnostic — plus clean-database and erased-history-tolerance checks.
 
 use ldbpp_common::coding::put_fixed64;
 use ldbpp_common::json::Value;
-use ldbpp_core::indexes::{CompositeIndex, EagerIndex, LazyIndex, SecondaryIndex};
-use ldbpp_core::{CheckCode, Document, IndexKind, IntegrityReport, SecondaryDb};
+use ldbpp_core::indexes::{encode_postings, Posting};
+use ldbpp_core::{
+    CheckCode, Document, IndexKind, IntegrityReport, SecondaryDb, SecondaryDbOptions,
+};
 use ldbpp_lsm::attr::AttrValue;
 use ldbpp_lsm::db::{Db, DbOptions};
 use ldbpp_lsm::env::MemEnv;
@@ -19,11 +22,49 @@ fn doc(color: &str) -> Document {
     d
 }
 
-/// A primary table with one real record, `pk1`.
-fn primary(env: Arc<MemEnv>) -> Db {
-    let db = Db::open(env, "primary", DbOptions::small()).unwrap();
-    db.put(b"pk1", b"{\"Color\":\"red\"}").unwrap();
-    db
+fn base() -> DbOptions {
+    DbOptions {
+        auto_compact: false,
+        ..DbOptions::small()
+    }
+}
+
+fn open(env: &Arc<MemEnv>, kind: IndexKind) -> SecondaryDb {
+    let opts = SecondaryDbOptions {
+        base: base(),
+        ..Default::default()
+    };
+    SecondaryDb::open(env.clone(), "sdb", opts, &[("Color", kind)]).unwrap()
+}
+
+/// Write one raw entry into the closed database's `Color` index table and
+/// flush it, as a bug below the facade would.
+fn seed_index_entry(env: &Arc<MemEnv>, kind: IndexKind, key: &[u8], value: &[u8]) {
+    let opts = DbOptions {
+        wal_enabled: false,
+        ..kind.table_options(&base()).unwrap()
+    };
+    let table = Db::open(env.clone(), "sdb_idx_Color", opts).unwrap();
+    assert!(table.tree_sequence() > 0, "wrong index directory name");
+    if kind == IndexKind::LazyStandalone {
+        table.merge(key, value).unwrap();
+    } else {
+        table.put(key, value).unwrap();
+    }
+    table.flush().unwrap();
+}
+
+/// A database holding one real record (`pk1`, red) plus a seeded index
+/// entry, reopened and checked.
+fn check_with_seeded_entry(kind: IndexKind, key: &[u8], value: &[u8]) -> IntegrityReport {
+    let env = MemEnv::new();
+    let db = open(&env, kind);
+    db.put("pk1", &doc("red")).unwrap();
+    db.flush().unwrap();
+    assert!(db.check_integrity().is_clean());
+    drop(db);
+    seed_index_entry(&env, kind, key, value);
+    open(&env, kind).check_integrity()
 }
 
 fn dangling_details(report: &IntegrityReport) -> Vec<&str> {
@@ -37,16 +78,19 @@ fn dangling_details(report: &IntegrityReport) -> Vec<&str> {
 
 #[test]
 fn ghost_posting_in_eager_index_detected() {
-    let env = MemEnv::new();
-    let primary = primary(env.clone());
-    let idx = EagerIndex::open(env, "idx", "Color", &DbOptions::small()).unwrap();
-    idx.on_put(&primary, b"pk1", &doc("red"), 1).unwrap();
-    // A posting for a primary key that was never written (sequence within
-    // the primary's assigned range, so it is not a crash strand).
-    idx.on_put(&primary, b"ghost", &doc("red"), 1).unwrap();
-
-    let mut report = IntegrityReport::default();
-    idx.check_integrity(&primary, &mut report).unwrap();
+    // A posting for a primary key that was never written. Its sequence is
+    // beyond anything the primary assigned: no sequence excuses an entry
+    // without a record.
+    let list = encode_postings(&[
+        Posting::insert(b"ghost".to_vec(), 1_000_000),
+        Posting::insert(b"pk1".to_vec(), 1),
+    ])
+    .unwrap();
+    let report = check_with_seeded_entry(
+        IndexKind::EagerStandalone,
+        &AttrValue::str("red").encode(),
+        &list,
+    );
     let dangling = dangling_details(&report);
     assert_eq!(dangling.len(), 1, "{report}");
     assert!(dangling[0].contains("ghost"), "{report}");
@@ -55,14 +99,12 @@ fn ghost_posting_in_eager_index_detected() {
 
 #[test]
 fn ghost_posting_in_lazy_index_detected() {
-    let env = MemEnv::new();
-    let primary = primary(env.clone());
-    let idx = LazyIndex::open(env, "idx", "Color", &DbOptions::small()).unwrap();
-    idx.on_put(&primary, b"pk1", &doc("red"), 1).unwrap();
-    idx.on_put(&primary, b"ghost", &doc("blue"), 1).unwrap();
-
-    let mut report = IntegrityReport::default();
-    idx.check_integrity(&primary, &mut report).unwrap();
+    let fragment = encode_postings(&[Posting::insert(b"ghost".to_vec(), 1_000_000)]).unwrap();
+    let report = check_with_seeded_entry(
+        IndexKind::LazyStandalone,
+        &AttrValue::str("blue").encode(),
+        &fragment,
+    );
     let dangling = dangling_details(&report);
     assert_eq!(dangling.len(), 1, "{report}");
     assert!(dangling[0].contains("ghost"), "{report}");
@@ -71,19 +113,12 @@ fn ghost_posting_in_lazy_index_detected() {
 
 #[test]
 fn ghost_entry_in_composite_index_detected() {
-    let env = MemEnv::new();
-    let primary = primary(env.clone());
-    let idx = CompositeIndex::open(env, "idx", "Color", &DbOptions::small()).unwrap();
-    idx.on_put(&primary, b"pk1", &doc("red"), 1).unwrap();
     // Forge a composite entry (secondary ‖ pk → seq) by hand.
     let mut key = AttrValue::str("blue").encode_composite();
     key.extend_from_slice(b"ghost");
     let mut seq_bytes = Vec::new();
-    put_fixed64(&mut seq_bytes, 1);
-    idx.table().put(&key, &seq_bytes).unwrap();
-
-    let mut report = IntegrityReport::default();
-    idx.check_integrity(&primary, &mut report).unwrap();
+    put_fixed64(&mut seq_bytes, 1_000_000);
+    let report = check_with_seeded_entry(IndexKind::CompositeStandalone, &key, &seq_bytes);
     let dangling = dangling_details(&report);
     assert_eq!(dangling.len(), 1, "{report}");
     assert!(dangling[0].contains("ghost"), "{report}");
@@ -92,113 +127,44 @@ fn ghost_entry_in_composite_index_detected() {
 
 #[test]
 fn tombstoned_primary_is_not_dangling() {
-    // A stale posting whose primary key still carries a tombstone is the
-    // normal aftermath of a delete — read-time validation absorbs it.
+    // A stale posting whose primary key still carries a tombstone is
+    // absorbed by read-time validation, not a violation.
     let env = MemEnv::new();
-    let primary = primary(env.clone());
-    let idx = EagerIndex::open(env, "idx", "Color", &DbOptions::small()).unwrap();
-    idx.on_put(&primary, b"pk1", &doc("red"), 1).unwrap();
-    primary.put(b"pk2", b"{\"Color\":\"red\"}").unwrap();
-    idx.on_put(&primary, b"pk2", &doc("red"), 2).unwrap();
-    primary.delete(b"pk2").unwrap(); // tombstone stays; index not told
+    let db = open(&env, IndexKind::EagerStandalone);
+    db.put("pk1", &doc("red")).unwrap();
+    db.put("pk2", &doc("red")).unwrap();
+    // Tombstone on the primary alone; the index is not told.
+    db.primary().delete(b"pk2").unwrap();
 
-    let mut report = IntegrityReport::default();
-    idx.check_integrity(&primary, &mut report).unwrap();
+    let report = db.check_integrity();
     assert!(report.is_clean(), "{report}");
-}
-
-#[test]
-fn predicted_sequence_strand_is_not_dangling() {
-    // Index-first write order means a crash can strand an entry whose
-    // sequence the primary never assigned; the checker must tolerate it.
-    let env = MemEnv::new();
-    let primary = primary(env.clone());
-    let idx = EagerIndex::open(env, "idx", "Color", &DbOptions::small()).unwrap();
-    idx.on_put(
-        &primary,
-        b"stranded",
-        &doc("red"),
-        primary.last_sequence() + 1,
-    )
-    .unwrap();
-
-    let mut report = IntegrityReport::default();
-    idx.check_integrity(&primary, &mut report).unwrap();
-    assert!(report.is_clean(), "{report}");
+    let hits = db.lookup("Color", &Value::str("red"), None).unwrap();
+    assert_eq!(hits.len(), 1);
 }
 
 #[test]
 fn dangling_check_disarms_after_history_erasure() {
     // Once base-level compaction discards a key's entire history, a stale
     // posting can legitimately reference a pk with no record: the strict
-    // cross-check must disarm rather than cry corruption.
+    // cross-check must disarm rather than cry corruption. Nothing here
+    // crashes — which is why the `erased_keys` gate outlives the atomic
+    // commit.
     let env = MemEnv::new();
-    let primary = Db::open(
-        env.clone(),
-        "primary",
-        DbOptions {
-            auto_compact: false,
-            ..DbOptions::small()
-        },
-    )
-    .unwrap();
-    let idx = EagerIndex::open(env, "idx", "Color", &DbOptions::small()).unwrap();
-
-    primary.put(b"pk1", b"{\"Color\":\"red\"}").unwrap();
-    idx.on_put(&primary, b"pk1", &doc("red"), 1).unwrap();
+    let db = open(&env, IndexKind::EagerStandalone);
+    db.put("pk1", &doc("red")).unwrap();
     // Update pk1 red→blue: the red posting goes stale (the write path only
     // touches the new value's list — the paper's lazy-cleanup contract).
-    primary.put(b"pk1", b"{\"Color\":\"blue\"}").unwrap();
-    idx.on_put(&primary, b"pk1", &doc("blue"), 2).unwrap();
+    db.put("pk1", &doc("blue")).unwrap();
     // Delete pk1 (the index only cleans the blue list), then compact the
     // tombstone away at the base level.
-    primary.flush().unwrap();
-    primary.delete(b"pk1").unwrap();
-    idx.on_delete(&primary, b"pk1", Some(&doc("blue")), 3)
-        .unwrap();
-    primary.flush().unwrap();
-    primary.major_compact().unwrap();
-    assert!(primary.erased_keys() > 0);
-    assert!(primary.newest_record(b"pk1").unwrap().is_none());
+    db.flush().unwrap();
+    db.delete("pk1").unwrap();
+    db.flush().unwrap();
+    db.primary().major_compact().unwrap();
+    assert!(db.primary().erased_keys() > 0);
+    assert!(db.primary().newest_record(b"pk1").unwrap().is_none());
 
     // The red posting for pk1 now dangles — legitimately.
-    let mut report = IntegrityReport::default();
-    idx.check_integrity(&primary, &mut report).unwrap();
-    assert!(report.is_clean(), "{report}");
-}
-
-#[test]
-fn secondary_db_reports_ghost_through_facade() {
-    // The SecondaryDb wrapper folds per-index findings into one report.
-    let env = MemEnv::new();
-    let open = |env: Arc<MemEnv>| {
-        SecondaryDb::open(
-            env,
-            "sdb",
-            ldbpp_core::SecondaryDbOptions {
-                base: DbOptions::small(),
-                ..Default::default()
-            },
-            &[("Color", IndexKind::EagerStandalone)],
-        )
-        .unwrap()
-    };
-    let db = open(env.clone());
-    db.put("pk1", &doc("red")).unwrap();
-    assert!(db.check_integrity().is_clean());
-    drop(db);
-
-    // Corrupt the Color index table between runs, behind the facade's
-    // back, then reopen and ask the facade for a diagnosis.
-    {
-        let primary = Db::open(env.clone(), "sdb", DbOptions::small()).unwrap();
-        let idx =
-            EagerIndex::open(env.clone(), "sdb_idx_Color", "Color", &DbOptions::small()).unwrap();
-        assert!(!idx.needs_backfill(), "wrong index directory name");
-        idx.on_put(&primary, b"ghost", &doc("red"), 1).unwrap();
-        idx.flush().unwrap();
-    }
-    let db = open(env);
     let report = db.check_integrity();
-    assert!(report.has(CheckCode::DanglingIndexEntry), "{report}");
+    assert!(report.is_clean(), "{report}");
 }

@@ -6,7 +6,7 @@
 //! clean.
 
 use ldbpp_common::json::Value;
-use ldbpp_core::indexes::{EagerIndex, SecondaryIndex};
+use ldbpp_core::indexes::{encode_postings, Posting};
 use ldbpp_core::{Document, IndexKind, SecondaryDb, SecondaryDbOptions};
 use ldbpp_lsm::db::{Db, DbOptions};
 use ldbpp_lsm::env::{Env, FaultEnv, MemEnv};
@@ -170,12 +170,17 @@ fn heal_after_index_corruption_and_repair() {
     // Seed a ghost posting the way a write-path bug would, then damage the
     // index table with bit rot (the primary stays intact throughout).
     {
-        let primary = Db::open(env.clone(), DB, base_opts()).unwrap();
-        let idx = EagerIndex::open(env.clone(), "sdb_idx_Eager", "Eager", &base_opts()).unwrap();
-        let mut ghost_doc = Document::new();
-        ghost_doc.set("Eager", Value::str("g0"));
-        idx.on_put(&primary, b"ghost", &ghost_doc, 1).unwrap();
-        idx.flush().unwrap();
+        let table_opts = DbOptions {
+            wal_enabled: false,
+            ..base_opts()
+        };
+        let table = Db::open(env.clone(), "sdb_idx_Eager", table_opts).unwrap();
+        let key = ldbpp_lsm::attr::AttrValue::str("g0").encode();
+        let mut list =
+            ldbpp_core::indexes::decode_postings(&table.get(&key).unwrap().unwrap()).unwrap();
+        list.insert(0, Posting::insert(b"ghost".to_vec(), 1));
+        table.put(&key, &encode_postings(&list).unwrap()).unwrap();
+        table.flush().unwrap();
     }
     let eager_table = env
         .list("sdb_idx_Eager")

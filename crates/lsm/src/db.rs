@@ -26,6 +26,7 @@ use crate::ikey::{self, InternalKey, ValueType};
 use crate::iterator::{DbIterator, MergingIterator};
 use crate::memtable::{MemTable, SnapshotMemIter};
 use crate::merge::MergeOperatorRef;
+use crate::model_bugs::{self, Fault};
 pub use crate::options::DbOptions;
 use crate::sync::{AtomicU64, Ordering};
 use crate::table::{BlockCache, ConcatIter, ReadPurpose, Table, TableBuilder, TableProvider};
@@ -34,11 +35,11 @@ use crate::version::{
     Version, VersionEdit, VersionSet,
 };
 use crate::wal::{LogReader, LogWriter};
-use crate::write_batch::{self, WriteBatch};
+use crate::write_batch::{self, BatchOp, WriteBatch};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use ldbpp_common::{Error, Result};
 use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::ops::ControlFlow;
 use std::sync::{Arc, Weak};
 use std::thread;
@@ -154,13 +155,108 @@ struct ReadState {
 /// WAL bookkeeping carried from a memtable freeze to its flush install.
 #[derive(Clone)]
 struct PendingFlush {
-    /// Log file to delete once the frozen memtable is durable in L0.
-    old_log: Option<u64>,
     /// Log number to record in the manifest at install (recovery then
     /// replays only logs at or after it).
     new_log: Option<u64>,
     /// Largest sequence number contained in the frozen memtable.
     boundary_seq: u64,
+}
+
+/// What the trees of one shard share: a `Db` that owns a commit log, and
+/// every tree opened through [`Db::open_with_trees`] to be fed by it. A
+/// plain [`Db::open`] is a shard of one.
+///
+/// One published sequence for all of them is what makes a commit atomic
+/// to readers: the leader inserts a group's operations into every tree's
+/// memtable and only then stores `last_seq`, so at any loaded sequence a
+/// reader finds an index entry exactly when it finds the primary record
+/// the entry was derived from.
+struct ShardLog {
+    /// The newest sequence visible to readers of any tree. Stored with
+    /// `Release` *after* the memtable inserts, so a reader that loads it
+    /// with `Acquire` before cloning a tree's `ReadState` is guaranteed to
+    /// see every acknowledged write at or below the loaded value.
+    last_seq: AtomicU64,
+    /// Vector-clock domain checking the `last_seq` publish/consume edges
+    /// at runtime (`check` builds only; see [`crate::vclock`]).
+    #[cfg(feature = "check")]
+    vc: crate::vclock::Domain,
+    /// Closed log files still on disk, as `(path, largest sequence in the
+    /// file)`. A file goes when every tree has flushed through its largest
+    /// sequence ([`DbCore::gc_logs`]).
+    closed: Mutex<Vec<(String, u64)>>,
+    /// Every tree of the shard.
+    trees: Mutex<Vec<Weak<DbCore>>>,
+}
+
+impl ShardLog {
+    fn new() -> Arc<ShardLog> {
+        Arc::new(ShardLog {
+            last_seq: AtomicU64::new(0),
+            #[cfg(feature = "check")]
+            vc: crate::vclock::Domain::new(0),
+            closed: Mutex::new(Vec::new()),
+            trees: Mutex::new(Vec::new()),
+        })
+    }
+}
+
+/// Derives, inside the commit, what a write to the log-owning table
+/// implies for the trees it commits for (see [`Db::write_derived`]).
+pub trait DeriveOps: Send + Sync {
+    /// Called by the group-commit leader once per tree-0 operation of the
+    /// batch, after `op`'s sequence number `seq` is allocated and before
+    /// anything is logged. Push the implied operations (each naming its
+    /// tree, `1..=trees`) onto `out`; they are logged in `op`'s record
+    /// and inserted under `op`'s sequence number. Read the shard through
+    /// `view` only: it shows every earlier operation of the group, which
+    /// the tables themselves do not yet hold. An error fails the group
+    /// with nothing written.
+    fn derive(
+        &self,
+        view: &CommitView<'_>,
+        seq: u64,
+        op: &BatchOp,
+        out: &mut Vec<BatchOp>,
+    ) -> Result<()>;
+}
+
+/// Point reads of a shard's trees as a commit in progress must see them:
+/// the published state overlaid with the operations the group has
+/// produced so far.
+pub struct CommitView<'a> {
+    core: &'a DbCore,
+    /// `(tree, key)` → value (`None`: deleted) of operations not yet in
+    /// the memtables. Merge operands are not folded in: no deriver reads
+    /// a key it merges into.
+    pending: HashMap<(u32, Vec<u8>), Option<Vec<u8>>>,
+}
+
+impl CommitView<'_> {
+    /// The newest value of `key` in `tree` (0: the log-owning table).
+    pub fn get(&self, tree: u32, key: &[u8]) -> Result<Option<Vec<u8>>> {
+        if !self.pending.is_empty() {
+            if let Some(pending) = self.pending.get(&(tree, key.to_vec())) {
+                return Ok(pending.clone());
+            }
+        }
+        match tree.checked_sub(1) {
+            None => self.core.get_resolved(key, None),
+            Some(i) => match self.core.trees.get(i as usize) {
+                Some(tree) => tree.get(key),
+                None => Err(Error::invalid(format!("no tree {tree} in this shard"))),
+            },
+        }
+    }
+
+    fn note(&mut self, op: &BatchOp) {
+        let value = match op.vtype {
+            ValueType::Value => Some(op.value.clone()),
+            ValueType::Deletion => None,
+            ValueType::Merge => return,
+        };
+        self.pending.insert((op.tree, op.key.clone()), value);
+    }
 }
 
 /// State that only writers and the maintenance path touch.
@@ -189,6 +285,8 @@ struct WriteRequest {
     count: u32,
     /// Encoded operation bodies ([`WriteBatch::op_bytes`]).
     body: Vec<u8>,
+    /// What the batch's tree-0 operations imply for the other trees.
+    derive: Option<Arc<dyn DeriveOps>>,
     /// Outcome slot; a leaf lock (acquired while holding nothing else by
     /// waiting followers, and nothing below it by the leader).
     state: Mutex<WriteOutcome>,
@@ -197,10 +295,11 @@ struct WriteRequest {
 }
 
 impl WriteRequest {
-    fn new(batch: &WriteBatch) -> Arc<WriteRequest> {
+    fn new(batch: &WriteBatch, derive: Option<Arc<dyn DeriveOps>>) -> Arc<WriteRequest> {
         Arc::new(WriteRequest {
             count: batch.count(),
             body: batch.op_bytes().to_vec(),
+            derive,
             state: Mutex::new(WriteOutcome::default()),
             cond: Condvar::new(),
         })
@@ -222,9 +321,12 @@ struct WriteOutcome {
 ///
 /// Lock order (outermost first): `maintenance` → `inner` → {`writers`,
 /// `read` → memtable latch} → leaves (`tables`, `pinned`, `bg_error`,
-/// `pending_gc`, `live_versions`, `work_tx`, per-request
-/// [`WriteRequest::state`]). Never acquire leftwards while holding a
-/// lock to the right. The write path adds two disciplines on top
+/// `pending_gc`, `live_versions`, `work_tx`, the shard's `closed` and
+/// `trees`, per-request [`WriteRequest::state`]). Never acquire
+/// leftwards while holding a lock to the right. Across the trees of a
+/// shard the log owner comes first: its commit leader takes a fed
+/// tree's `maintenance` and `inner` while holding its own, and a fed
+/// tree never takes the owner's. The write path adds two disciplines on top
 /// (DESIGN.md §14): `writers` is only ever held briefly (enqueue, group
 /// collection, group pop — never across I/O or a condvar wait), and a
 /// request's `state` is never held while acquiring any other lock.
@@ -238,15 +340,13 @@ struct DbCore {
     /// The published read snapshot; swapped atomically on freeze, flush
     /// install and compaction install (always while holding `inner`).
     read: RwLock<Arc<ReadState>>,
-    /// Mirror of `versions.last_sequence` for lock-free readers. Stored
-    /// with `Release` *after* the memtable insert, so a reader that loads
-    /// it with `Acquire` before cloning the `ReadState` is guaranteed to
-    /// see every acknowledged write at or below the loaded value.
-    last_seq: AtomicU64,
-    /// Vector-clock domain checking the `last_seq` publish/consume edges
-    /// at runtime (`check` builds only; see [`crate::vclock`]).
-    #[cfg(feature = "check")]
-    vc: crate::vclock::Domain,
+    /// The published sequence and the closed log files of the shard.
+    shard: Arc<ShardLog>,
+    /// 0 for a table that owns its commit log; `i` for the `i`-th tree
+    /// fed by another table's log (never written directly).
+    tree_id: u32,
+    /// The trees this table's log commits for ([`Db::open_with_trees`]).
+    trees: Vec<Arc<Db>>,
     /// Largest sequence number already flushed to L0 (memtable-side
     /// secondary indexes prune their maps against this watermark).
     flushed_seq: AtomicU64,
@@ -309,6 +409,63 @@ pub struct Db {
 impl Db {
     /// Open (creating or recovering) a database at `name` within `env`.
     pub fn open(env: Arc<dyn Env>, name: &str, opts: DbOptions) -> Result<Db> {
+        Db::open_tree(env, name, opts, ShardLog::new(), 0, Vec::new())
+    }
+
+    /// Open `name` as the commit log and the sequence domain of a shard of
+    /// several LSM trees: itself (tree 0) and, for each `(directory,
+    /// options)` of `trees`, tree `i + 1` — returned by [`Db::trees`].
+    ///
+    /// Each fed tree is a `Db` of its own — MANIFEST, memtable and
+    /// `write_buffer_size` trigger, levels, compaction, [`IoStats`] — but
+    /// has no log and no sequence numbers of its own and refuses direct
+    /// writes: it receives the operations that batches written to this
+    /// table carry for it ([`BatchOp::tree`]) or imply for it
+    /// ([`Db::write_derived`]). One batch is one WAL record and at most one
+    /// fsync however many trees it touches, and becomes visible in all of
+    /// them at once.
+    ///
+    /// Recovery replays the one log into every tree. Each tree records in
+    /// its own MANIFEST the sequence it has flushed through and takes only
+    /// operations above it, so nothing is applied twice whatever the order
+    /// of flushes and crashes; a log file is deleted once every tree has
+    /// flushed through its last operation. A directory in `trees` may hold
+    /// a WAL of its own from a build in which every tree logged for
+    /// itself: it is replayed into the tree once, here, and deleted.
+    pub fn open_with_trees(
+        env: Arc<dyn Env>,
+        name: &str,
+        opts: DbOptions,
+        trees: &[(String, DbOptions)],
+    ) -> Result<Db> {
+        let shard = ShardLog::new();
+        let mut fed = Vec::with_capacity(trees.len());
+        for (i, (tree_name, tree_opts)) in trees.iter().enumerate() {
+            let tree_opts = DbOptions {
+                wal_enabled: false,
+                sequence_clock: None,
+                ..tree_opts.clone()
+            };
+            fed.push(Arc::new(Db::open_tree(
+                Arc::clone(&env),
+                tree_name,
+                tree_opts,
+                Arc::clone(&shard),
+                i as u32 + 1,
+                Vec::new(),
+            )?));
+        }
+        Db::open_tree(env, name, opts, shard, 0, fed)
+    }
+
+    fn open_tree(
+        env: Arc<dyn Env>,
+        name: &str,
+        opts: DbOptions,
+        shard: Arc<ShardLog>,
+        tree_id: u32,
+        trees: Vec<Arc<Db>>,
+    ) -> Result<Db> {
         env.mkdir_all(name)?;
         let stats = IoStats::new();
         let block_cache: Option<BlockCache> = if opts.block_cache_bytes > 0 {
@@ -329,22 +486,34 @@ impl Db {
 
         IoStats::add(&stats.manifest_replays, versions.recovered_edits);
 
-        // Replay WAL files at or after the recorded log number. Flushes
+        // Replay the WAL files. Into this table go the records of files at
+        // or after the recorded log number; a file below it is still on
+        // disk because a fed tree had not flushed through it — or because
+        // an open without the trees could not tell. Into a fed tree go the
+        // operations above what it has flushed. Flushes of this table
         // forced by replay accumulate into `recovery_edit`, which is logged
         // once — together with the fresh WAL's number — below, so that a
         // crash at any point during recovery leaves the MANIFEST unchanged
         // and the replay idempotent (see `flush_memtable_impl`).
         let mut recovery_edit = VersionEdit::default();
+        let mut replayed_logs: Vec<(String, u64)> = Vec::new();
+        let mut drained = false;
         if preexisting {
             let mut log_numbers: Vec<u64> = env
                 .list(name)?
                 .iter()
                 .filter_map(|f| f.strip_suffix(".log").and_then(|n| n.parse::<u64>().ok()))
-                .filter(|n| *n >= versions.log_number)
                 .collect();
             log_numbers.sort_unstable();
             for number in log_numbers {
-                let data = env.read_all(&log_file_name(name, number))?;
+                let own = number >= versions.log_number;
+                drained |= own;
+                let path = log_file_name(name, number);
+                let data = env.read_all(&path)?;
+                let mut max_seq = 0u64;
+                // Operations of a tree this open was not given: the file
+                // must outlive it.
+                let mut foreign = false;
                 // Paranoid mode aborts recovery at the first corrupt record;
                 // permissive mode resynchronizes at the next block boundary
                 // and keeps replaying whatever is still readable.
@@ -368,14 +537,19 @@ impl Db {
                         Err(e) => return Err(e),
                     };
                     IoStats::add(&stats.wal_replays, 1);
-                    let (seq, ops) = decoded;
-                    for (i, op) in ops.iter().enumerate() {
-                        mem.add(seq + i as u64, op.vtype, &op.key, &op.value);
+                    let (start_seq, ops) = decoded;
+                    for (seq, op) in write_batch::sequenced(start_seq, &ops) {
+                        max_seq = max_seq.max(seq);
+                        match op.tree.checked_sub(1) {
+                            None if own => mem.add(seq, op.vtype, &op.key, &op.value),
+                            None => {}
+                            Some(i) => match trees.get(i as usize) {
+                                Some(tree) => tree.core.replay_op(seq, op)?,
+                                None => foreign = true,
+                            },
+                        }
                     }
-                    let end_seq = seq + ops.len().max(1) as u64 - 1;
-                    if end_seq > versions.last_sequence {
-                        versions.last_sequence = end_seq;
-                    }
+                    versions.last_sequence = versions.last_sequence.max(max_seq);
                     if mem.approximate_bytes() >= opts.write_buffer_size {
                         flush_memtable_impl(
                             &opts,
@@ -391,6 +565,9 @@ impl Db {
                 }
                 IoStats::add(&stats.wal_records_salvaged, reader.records_salvaged());
                 IoStats::add(&stats.wal_bytes_dropped, reader.bytes_dropped());
+                if !foreign {
+                    replayed_logs.push((path, max_seq));
+                }
             }
             if !mem.is_empty() {
                 flush_memtable_impl(
@@ -404,6 +581,12 @@ impl Db {
                 )?;
                 mem_generation += 1;
             }
+            // Each tree's flush commits, in its own MANIFEST, how far its
+            // replay got; a crash before this table's edit below replays
+            // the same files and the tree skips what it already holds.
+            for tree in &trees {
+                tree.flush()?;
+            }
         }
 
         // Fresh WAL, installed atomically with the recovery flushes: one
@@ -415,14 +598,34 @@ impl Db {
             recovery_edit.log_number = Some(log_number);
             Some(wal)
         } else {
+            // No successor file to name: retire the replayed ones by
+            // number, or the next open would apply them a second time.
+            if drained {
+                recovery_edit.log_number = Some(versions.new_file_number());
+            }
             None
         };
+        // Sequence numbers a fed tree drew for itself under a build that
+        // gave it a log of its own must not be handed out again.
+        for tree in &trees {
+            versions.last_sequence = versions.last_sequence.max(tree.tree_sequence());
+        }
+        // Whatever this open replayed into the table is in L0 now; a fed
+        // tree that replayed nothing keeps the mark its MANIFEST holds.
+        if tree_id == 0 || drained {
+            versions.flushed_seq = versions.last_sequence;
+        }
         if recovery_edit.log_number.is_some() || !recovery_edit.new_files.is_empty() {
             versions.log_and_apply(recovery_edit)?;
         }
 
         let version = versions.current();
         let last_sequence = versions.last_sequence;
+        if tree_id == 0 {
+            shard.last_seq.store(last_sequence, Ordering::Release);
+            #[cfg(feature = "check")]
+            shard.vc.set_base(last_sequence);
+        }
         // A shared clock must start past everything this shard already
         // holds, or a later allocation could collide with recovered data.
         if let Some(clock) = &opts.sequence_clock {
@@ -431,9 +634,9 @@ impl Db {
         let table_cache_entries = opts.table_cache_entries.max(16);
         let background = opts.background_work;
         #[cfg(feature = "check")]
-        let vc = crate::vclock::Domain::new(last_sequence);
-        #[cfg(feature = "check")]
-        mem.set_vc_domain(vc.id());
+        mem.set_vc_domain(shard.vc.id());
+        let flushed_seq = versions.flushed_seq;
+        shard.closed.lock().extend(replayed_logs);
         let core = Arc::new(DbCore {
             name: name.to_string(),
             opts,
@@ -451,12 +654,10 @@ impl Db {
                 imm: None,
                 version: Arc::clone(&version),
             })),
-            last_seq: AtomicU64::new(last_sequence),
-            #[cfg(feature = "check")]
-            vc,
-            // Recovery leaves the memtable empty, so everything recovered
-            // is already in L0 or deeper.
-            flushed_seq: AtomicU64::new(last_sequence),
+            shard,
+            tree_id,
+            trees,
+            flushed_seq: AtomicU64::new(flushed_seq),
             maintenance: Mutex::new(()),
             work_cond: Condvar::new(),
             tables: Mutex::new(LruCache::new(table_cache_entries)),
@@ -468,7 +669,11 @@ impl Db {
             work_tx: Mutex::new(None),
             writers: Mutex::new(VecDeque::new()),
         });
+        core.shard.trees.lock().push(Arc::downgrade(&core));
         core.remove_obsolete_files();
+        if tree_id == 0 {
+            core.gc_logs();
+        }
 
         let worker = if background {
             let (tx, rx) = unbounded();
@@ -510,9 +715,22 @@ impl Db {
         &self.core.name
     }
 
-    /// The most recently assigned sequence number.
+    /// The trees this table's log commits for, in the order given to
+    /// [`Db::open_with_trees`] (tree `i + 1` at index `i`).
+    pub fn trees(&self) -> &[Arc<Db>] {
+        &self.core.trees
+    }
+
+    /// The most recently published sequence number of the shard.
     pub fn last_sequence(&self) -> u64 {
-        self.core.last_seq.load(Ordering::Acquire)
+        self.core.last_sequence()
+    }
+
+    /// The largest sequence number of an operation on *this* tree: the
+    /// shard's last sequence for a table that owns its log, possibly less
+    /// — 0 if nothing was ever written to it — for a tree fed by one.
+    pub fn tree_sequence(&self) -> u64 {
+        self.core.inner.lock().versions.last_sequence
     }
 
     /// Cumulative count of user keys whose entire history was discarded by
@@ -596,12 +814,48 @@ impl Db {
     /// only under L0 backpressure (see
     /// [`DbOptions::l0_slowdown_trigger`] / [`DbOptions::l0_stall_trigger`]).
     pub fn write(&self, batch: &mut WriteBatch) -> Result<u64> {
+        self.write_request(batch, None)
+    }
+
+    /// [`Db::write`], with the operations `batch` implies for the trees
+    /// this table commits for ([`Db::open_with_trees`]) derived inside the
+    /// commit: the group leader hands each tree-0 operation of the batch
+    /// to `derive` once its sequence number is known, and logs, inserts
+    /// and publishes what `derive` returns together with it. What
+    /// `derive` reads and what it writes are therefore serialised with
+    /// every other commit of the shard — a read-modify-write of an index
+    /// entry cannot lose an update, and an index entry carries the
+    /// sequence number of the very record it points to.
+    pub fn write_derived(&self, batch: &mut WriteBatch, derive: Arc<dyn DeriveOps>) -> Result<u64> {
+        self.write_request(batch, Some(derive))
+    }
+
+    /// A view of the shard outside any commit: the published state alone.
+    /// For maintenance that emits index operations from a quiesced table
+    /// (rebuild, backfill) through the same code a commit runs.
+    pub fn commit_view(&self) -> CommitView<'_> {
+        CommitView {
+            core: &self.core,
+            pending: HashMap::new(),
+        }
+    }
+
+    fn write_request(
+        &self,
+        batch: &mut WriteBatch,
+        derive: Option<Arc<dyn DeriveOps>>,
+    ) -> Result<u64> {
         if batch.is_empty() {
             return Err(Error::invalid("empty write batch"));
         }
         let core = &self.core;
+        if core.tree_id != 0 {
+            return Err(Error::not_supported(
+                "this tree is written through the commit log of the table it was opened under",
+            ));
+        }
         core.check_fatal()?;
-        let req = WriteRequest::new(batch);
+        let req = WriteRequest::new(batch, derive);
         let is_leader = {
             let mut writers = core.writers.lock();
             let was_empty = writers.is_empty();
@@ -739,7 +993,7 @@ impl Db {
     /// `Deletion`; merge operands encountered on the way are folded onto
     /// whatever base is found (or onto nothing).
     pub fn get(&self, user_key: &[u8]) -> Result<Option<Vec<u8>>> {
-        self.get_resolved(user_key, None)
+        self.core.get_resolved(user_key, None)
     }
 
     /// The sequence number a read started now would observe — usable later
@@ -773,50 +1027,7 @@ impl Db {
     /// repeatable-read patterns tests rely on. [`Db::pin_snapshot`] makes
     /// the guarantee exact.
     pub fn get_at(&self, user_key: &[u8], snapshot: u64) -> Result<Option<Vec<u8>>> {
-        self.get_resolved(user_key, Some(snapshot))
-    }
-
-    fn get_resolved(&self, user_key: &[u8], snapshot: Option<u64>) -> Result<Option<Vec<u8>>> {
-        enum Outcome {
-            Found(Vec<u8>),
-            Deleted,
-        }
-        let mut operands: Vec<Vec<u8>> = Vec::new(); // newest first
-        let mut outcome: Option<Outcome> = None;
-        self.fold_key_sources_at(user_key, snapshot, |_, entries| {
-            for (vtype, value, _seq) in entries {
-                match vtype {
-                    ValueType::Value => {
-                        outcome = Some(Outcome::Found(value.clone()));
-                        return ControlFlow::Break(());
-                    }
-                    ValueType::Deletion => {
-                        outcome = Some(Outcome::Deleted);
-                        return ControlFlow::Break(());
-                    }
-                    ValueType::Merge => operands.push(value.clone()),
-                }
-            }
-            ControlFlow::Continue(())
-        })?;
-        if operands.is_empty() {
-            return Ok(match outcome {
-                Some(Outcome::Found(v)) => Some(v),
-                _ => None,
-            });
-        }
-        let Some(op) = &self.core.opts.merge_operator else {
-            return Err(Error::not_supported(
-                "merge entries present but no merge operator configured",
-            ));
-        };
-        operands.reverse(); // oldest first
-        let refs: Vec<&[u8]> = operands.iter().map(|o| o.as_slice()).collect();
-        let base = match &outcome {
-            Some(Outcome::Found(v)) => Some(v.as_slice()),
-            _ => None,
-        };
-        Ok(Some(op.full_merge(user_key, base, &refs)))
+        self.core.get_resolved(user_key, Some(snapshot))
     }
 
     /// A human-readable summary of the tree shape and I/O counters —
@@ -879,75 +1090,14 @@ impl Db {
         &self,
         user_key: &[u8],
         snapshot: Option<u64>,
-        mut visit: F,
+        visit: F,
     ) -> Result<()>
     where
         F: FnMut(KeySource, &[(ValueType, Vec<u8>, u64)]) -> ControlFlow<()>,
     {
-        // Load the sequence *before* cloning the read state: every write
-        // acknowledged at or below it is then guaranteed visible in the
-        // snapshot (memtables or version).
-        let latest = self.last_sequence();
-        self.core.vc_consume(latest);
-        let rs = self.core.read_state();
-        let snapshot = snapshot.unwrap_or(latest);
-
-        let mem_entries: Vec<(ValueType, Vec<u8>, u64)> = rs
-            .mem
-            .read()
-            .entries_for(user_key, snapshot)
-            .map(|(t, v, s)| (t, v.to_vec(), s))
-            .collect();
-        if !mem_entries.is_empty() {
-            if let ControlFlow::Break(()) = visit(KeySource::Mem, &mem_entries) {
-                return Ok(());
-            }
-        }
-        if let Some(imm) = &rs.imm {
-            let imm_entries: Vec<(ValueType, Vec<u8>, u64)> = imm
-                .read()
-                .entries_for(user_key, snapshot)
-                .map(|(t, v, s)| (t, v.to_vec(), s))
-                .collect();
-            if !imm_entries.is_empty() {
-                if let ControlFlow::Break(()) = visit(KeySource::Imm, &imm_entries) {
-                    return Ok(());
-                }
-            }
-        }
-
-        let version = &rs.version;
-        let paranoid = self.core.opts.paranoid_checks;
-        let _ = probe_files_for_key(version, user_key, usize::MAX, |source, f| {
-            let read = (|| {
-                let table = self.core.open_table(f)?;
-                table.entries_for(user_key, snapshot, ReadPurpose::Query)
-            })();
-            let entries = match read {
-                Ok(entries) => entries,
-                Err(e) if e.is_corruption() => {
-                    // Evict the cached reader either way: the file may be
-                    // replaced on disk (e.g. by `crate::repair::repair_db`)
-                    // and the stale handle's cached footer and index would
-                    // keep poisoning reads after the fix.
-                    self.core.evict_table(f.number);
-                    if paranoid {
-                        return Err(e);
-                    }
-                    // Permissive degradation: treat the corrupt data as
-                    // absent-with-diagnostic and keep probing older sources.
-                    IoStats::add(&self.core.stats.corrupt_blocks_skipped, 1);
-                    return Ok(ControlFlow::Continue(()));
-                }
-                Err(e) => return Err(e),
-            };
-            if entries.is_empty() {
-                return Ok(ControlFlow::Continue(()));
-            }
-            Ok(visit(source, &entries))
-        })?;
-        Ok(())
+        self.core.fold_key_sources_at(user_key, snapshot, visit)
     }
+
     /// The paper's `GetLite(k, currentLevel)`: does a (possibly newer)
     /// version of `user_key` exist *above* `below_level`, judged purely
     /// from in-memory metadata (memtables + index blocks + primary bloom
@@ -1258,7 +1408,7 @@ impl DbCore {
     #[inline]
     fn vc_consume(&self, _seq: u64) {
         #[cfg(feature = "check")]
-        self.vc.consume(_seq);
+        self.shard.vc.consume(_seq);
     }
 
     /// A fresh active memtable (stamped with this DB's vector-clock
@@ -1267,7 +1417,7 @@ impl DbCore {
         #[cfg_attr(not(feature = "check"), allow(unused_mut))]
         let mut mem = MemTable::new();
         #[cfg(feature = "check")]
-        mem.set_vc_domain(self.vc.id());
+        mem.set_vc_domain(self.shard.vc.id());
         mem
     }
 
@@ -1310,6 +1460,125 @@ impl DbCore {
             *slot = Some(e.clone());
         }
         e
+    }
+
+    fn get_resolved(&self, user_key: &[u8], snapshot: Option<u64>) -> Result<Option<Vec<u8>>> {
+        enum Outcome {
+            Found(Vec<u8>),
+            Deleted,
+        }
+        let mut operands: Vec<Vec<u8>> = Vec::new(); // newest first
+        let mut outcome: Option<Outcome> = None;
+        self.fold_key_sources_at(user_key, snapshot, |_, entries| {
+            for (vtype, value, _seq) in entries {
+                match vtype {
+                    ValueType::Value => {
+                        outcome = Some(Outcome::Found(value.clone()));
+                        return ControlFlow::Break(());
+                    }
+                    ValueType::Deletion => {
+                        outcome = Some(Outcome::Deleted);
+                        return ControlFlow::Break(());
+                    }
+                    ValueType::Merge => operands.push(value.clone()),
+                }
+            }
+            ControlFlow::Continue(())
+        })?;
+        if operands.is_empty() {
+            return Ok(match outcome {
+                Some(Outcome::Found(v)) => Some(v),
+                _ => None,
+            });
+        }
+        let Some(op) = &self.opts.merge_operator else {
+            return Err(Error::not_supported(
+                "merge entries present but no merge operator configured",
+            ));
+        };
+        operands.reverse(); // oldest first
+        let refs: Vec<&[u8]> = operands.iter().map(|o| o.as_slice()).collect();
+        let base = match &outcome {
+            Some(Outcome::Found(v)) => Some(v.as_slice()),
+            _ => None,
+        };
+        Ok(Some(op.full_merge(user_key, base, &refs)))
+    }
+
+    /// Visit each source that may hold `user_key` as of `snapshot` (`None` =
+    /// latest), newest first; see [`Db::fold_key_sources`].
+    fn fold_key_sources_at<F>(
+        &self,
+        user_key: &[u8],
+        snapshot: Option<u64>,
+        mut visit: F,
+    ) -> Result<()>
+    where
+        F: FnMut(KeySource, &[(ValueType, Vec<u8>, u64)]) -> ControlFlow<()>,
+    {
+        // Load the sequence *before* cloning the read state: every write
+        // acknowledged at or below it is then guaranteed visible in the
+        // snapshot (memtables or version).
+        let latest = self.last_sequence();
+        self.vc_consume(latest);
+        let rs = self.read_state();
+        let snapshot = snapshot.unwrap_or(latest);
+
+        let mem_entries: Vec<(ValueType, Vec<u8>, u64)> = rs
+            .mem
+            .read()
+            .entries_for(user_key, snapshot)
+            .map(|(t, v, s)| (t, v.to_vec(), s))
+            .collect();
+        if !mem_entries.is_empty() {
+            if let ControlFlow::Break(()) = visit(KeySource::Mem, &mem_entries) {
+                return Ok(());
+            }
+        }
+        if let Some(imm) = &rs.imm {
+            let imm_entries: Vec<(ValueType, Vec<u8>, u64)> = imm
+                .read()
+                .entries_for(user_key, snapshot)
+                .map(|(t, v, s)| (t, v.to_vec(), s))
+                .collect();
+            if !imm_entries.is_empty() {
+                if let ControlFlow::Break(()) = visit(KeySource::Imm, &imm_entries) {
+                    return Ok(());
+                }
+            }
+        }
+
+        let version = &rs.version;
+        let paranoid = self.opts.paranoid_checks;
+        let _ = probe_files_for_key(version, user_key, usize::MAX, |source, f| {
+            let read = (|| {
+                let table = self.open_table(f)?;
+                table.entries_for(user_key, snapshot, ReadPurpose::Query)
+            })();
+            let entries = match read {
+                Ok(entries) => entries,
+                Err(e) if e.is_corruption() => {
+                    // Evict the cached reader either way: the file may be
+                    // replaced on disk (e.g. by `crate::repair::repair_db`)
+                    // and the stale handle's cached footer and index would
+                    // keep poisoning reads after the fix.
+                    self.evict_table(f.number);
+                    if paranoid {
+                        return Err(e);
+                    }
+                    // Permissive degradation: treat the corrupt data as
+                    // absent-with-diagnostic and keep probing older sources.
+                    IoStats::add(&self.stats.corrupt_blocks_skipped, 1);
+                    return Ok(ControlFlow::Continue(()));
+                }
+                Err(e) => return Err(e),
+            };
+            if entries.is_empty() {
+                return Ok(ControlFlow::Continue(()));
+            }
+            Ok(visit(source, &entries))
+        })?;
+        Ok(())
     }
 
     // -- write path ---------------------------------------------------------
@@ -1383,15 +1652,21 @@ impl DbCore {
         group
     }
 
-    /// One WAL append (+ at most one fsync) + one memtable publish for a
-    /// whole group, under one sequence allocation. Caller holds `inner`
-    /// and has already made room.
+    /// One WAL append (+ at most one fsync) + one publish for a whole
+    /// group, under one sequence allocation, across every tree the group
+    /// touches. Caller holds `inner` and has already made room in this
+    /// table.
     fn append_group(
         &self,
         inner: &mut DbInner,
         own: &Arc<WriteRequest>,
     ) -> (Vec<Arc<WriteRequest>>, Result<u64>) {
         let group = self.collect_group(own);
+        let outcome = self.commit(inner, &group);
+        (group, outcome)
+    }
+
+    fn commit(&self, inner: &mut DbInner, group: &[Arc<WriteRequest>]) -> Result<u64> {
         let total_count: u64 = group.iter().map(|r| u64::from(r.count)).sum();
         // A shared clock (multi-shard routing) hands out globally unique,
         // monotone ranges; without one, allocation is the classic
@@ -1401,86 +1676,232 @@ impl DbCore {
             None => inner.versions.last_sequence + 1,
         };
         if ikey::MAX_SEQUENCE - start_seq < total_count {
-            return (group, Err(Error::invalid("sequence space exhausted")));
+            return Err(Error::invalid("sequence space exhausted"));
         }
-        // Decode every body before touching the WAL or memtable, so a
-        // malformed batch fails the group with no state mutated at all.
-        let mut decoded = Vec::with_capacity(group.len());
-        for req in &group {
-            match write_batch::decode_ops(&req.body, req.count) {
-                Ok(ops) => decoded.push(ops),
-                Err(e) => return (group, Err(e)),
+        let last_seq = start_seq + total_count - 1;
+        // Decode every body and derive what it implies for the other trees
+        // before touching the WAL or a memtable, so a malformed batch or a
+        // failed derivation fails the group with no state mutated at all.
+        let (ops, payload, tree_bytes) = self.plan(group, start_seq)?;
+        let fed: Vec<usize> = (1..tree_bytes.len())
+            .filter(|tree| tree_bytes[*tree] > 0)
+            .collect();
+        for tree in &fed {
+            self.trees[tree - 1].core.make_room()?;
+        }
+        let index_first = model_bugs::enabled(Fault::IndexBeforeWal);
+        if index_first {
+            self.insert_fed(&fed, start_seq, &ops);
+            self.publish(last_seq);
+        }
+        if let Some(wal) = inner.wal.as_mut() {
+            // A failed append leaves a partial record at the WAL tail;
+            // recovery reads it as a clean truncated-tail EOF, but only
+            // if nothing is appended after it — poison the write path.
+            // Every batch in the group shared the failed record, so
+            // every member gets the error (the failure contract of
+            // DESIGN.md §14).
+            if let Err(e) = wal.add_record(&payload) {
+                return Err(self.set_fatal(e));
+            }
+            if self.opts.wal_sync {
+                // A failed fsync means unknown durability for a record
+                // the policy promises durable — poison, like a failed
+                // append.
+                if let Err(e) = wal.sync() {
+                    return Err(self.set_fatal(e));
+                }
+                IoStats::add(&self.stats.wal_syncs, 1);
+            }
+            // Each tree is charged the bytes of the operations it takes;
+            // the record's header and its syncs are this table's.
+            IoStats::add(&self.stats.wal_bytes_written, tree_bytes[0]);
+            for tree in &fed {
+                let stats = &self.trees[tree - 1].core.stats;
+                IoStats::add(&stats.wal_bytes_written, tree_bytes[*tree]);
             }
         }
-        if inner.wal.is_some() {
-            let parts: Vec<(&[u8], u32)> =
-                group.iter().map(|r| (r.body.as_slice(), r.count)).collect();
-            let payload = write_batch::encode_group(start_seq, &parts);
-            if let Some(wal) = inner.wal.as_mut() {
-                // A failed append leaves a partial record at the WAL tail;
-                // recovery reads it as a clean truncated-tail EOF, but only
-                // if nothing is appended after it — poison the write path.
-                // Every batch in the group shared the failed record, so
-                // every member gets the error (the failure contract of
-                // DESIGN.md §14).
-                if let Err(e) = wal.add_record(&payload) {
-                    return (group, Err(self.set_fatal(e)));
-                }
-                if self.opts.wal_sync {
-                    // A failed fsync means unknown durability for a record
-                    // the policy promises durable — poison, like a failed
-                    // append.
-                    if let Err(e) = wal.sync() {
-                        return (group, Err(self.set_fatal(e)));
-                    }
-                    IoStats::add(&self.stats.wal_syncs, 1);
-                }
-            }
-            IoStats::add(&self.stats.wal_bytes_written, payload.len() as u64);
+        if model_bugs::enabled(Fault::PublishBeforeInsert) {
+            self.shard.last_seq.store(last_seq, Ordering::Release);
         }
-        // Seeded bug (model-checker fault injection, off by default): store
-        // `last_seq` *before* the memtable insert. A concurrent reader can
-        // then Acquire-load a sequence whose entries it cannot find — the
-        // exact publish-ordering bug the vclock consume check exists to
-        // catch. The correct path below is untouched when the flag is off.
-        #[cfg(feature = "check")]
-        let early_publish = crate::model_bugs::publish_before_insert();
-        #[cfg(feature = "check")]
-        if early_publish {
-            self.last_seq
-                .store(start_seq + total_count - 1, Ordering::Release);
+        self.insert(
+            inner,
+            write_batch::sequenced(start_seq, &ops).filter(|(_, op)| op.tree == 0),
+        );
+        inner.versions.last_sequence = last_seq;
+        if !index_first {
+            self.insert_fed(&fed, start_seq, &ops);
+            self.publish(last_seq);
         }
-        {
-            let rs = self.read_state();
-            let mut mem = rs.mem.write();
-            let mut seq = start_seq;
-            for ops in &decoded {
-                for op in ops {
-                    mem.add(seq, op.vtype, &op.key, &op.value);
-                    seq += 1;
-                }
-            }
-        }
-        inner.versions.last_sequence = start_seq + total_count - 1;
-        // Release-publish only after the memtable insert: a reader that
-        // Acquire-loads this value is guaranteed to find the entries.
-        #[cfg(feature = "check")]
-        self.vc.publish(inner.versions.last_sequence);
-        #[cfg(feature = "check")]
-        if !early_publish {
-            self.last_seq
-                .store(inner.versions.last_sequence, Ordering::Release);
-        }
-        #[cfg(not(feature = "check"))]
-        self.last_seq
-            .store(inner.versions.last_sequence, Ordering::Release);
         IoStats::add(&self.stats.group_commits, 1);
         IoStats::add(&self.stats.grouped_writes, group.len() as u64);
         IoStats::add(
             &self.stats.group_size_hist[IoStats::group_size_bucket(group.len())],
             1,
         );
-        (group, Ok(start_seq))
+        Ok(start_seq)
+    }
+
+    /// Decode a group's batches, run their derivations, and lay out the
+    /// WAL record: the operations in log order, the record's payload, and
+    /// the payload bytes each tree (by number) accounts for.
+    fn plan(
+        &self,
+        group: &[Arc<WriteRequest>],
+        start_seq: u64,
+    ) -> Result<(Vec<BatchOp>, Vec<u8>, Vec<u64>)> {
+        let mut view = CommitView {
+            core: self,
+            pending: HashMap::new(),
+        };
+        // Only operations a later derivation can read need noting.
+        let last_deriver = group.iter().rposition(|r| r.derive.is_some());
+        let mut ops: Vec<BatchOp> = Vec::new();
+        let mut seq = start_seq;
+        for (i, req) in group.iter().enumerate() {
+            let read_later =
+                last_deriver.is_some_and(|last| i < last || (i == last && req.count > 1));
+            for op in write_batch::decode_ops(&req.body, req.count)? {
+                let at = ops.len();
+                ops.push(op);
+                if let (Some(derive), 0) = (&req.derive, ops[at].tree) {
+                    let mut derived = Vec::new();
+                    derive.derive(&view, seq, &ops[at], &mut derived)?;
+                    ops.extend(derived.into_iter().map(|mut op| {
+                        op.derived = true;
+                        op
+                    }));
+                }
+                for op in &ops[at..] {
+                    // A derived operation shares its source's sequence
+                    // number, so it cannot share its tree.
+                    if op.tree as usize > self.trees.len() || (op.derived && op.tree == 0) {
+                        return Err(Error::invalid(format!(
+                            "operation for tree {} of a shard of {}",
+                            op.tree,
+                            self.trees.len() + 1
+                        )));
+                    }
+                    if read_later {
+                        view.note(op);
+                    }
+                }
+                seq += 1;
+            }
+        }
+        let mut payload = write_batch::payload_header(start_seq, ops.len() as u32);
+        let mut tree_bytes = vec![0u64; self.trees.len() + 1];
+        tree_bytes[0] = payload.len() as u64;
+        for op in &ops {
+            let before = payload.len();
+            write_batch::encode_op(
+                &mut payload,
+                op.tree,
+                op.derived,
+                op.vtype,
+                &op.key,
+                &op.value,
+            );
+            tree_bytes[op.tree as usize] += (payload.len() - before) as u64;
+        }
+        Ok((ops, payload, tree_bytes))
+    }
+
+    /// Insert operations of this tree into its active memtable. Caller
+    /// holds `inner`; the shard's commit leader and its recovery are the
+    /// only callers, one at a time and in sequence order.
+    fn insert<'a>(&self, inner: &mut DbInner, ops: impl Iterator<Item = (u64, &'a BatchOp)>) {
+        let rs = self.read_state();
+        let mut mem = rs.mem.write();
+        for (seq, op) in ops {
+            mem.add(seq, op.vtype, &op.key, &op.value);
+            inner.versions.last_sequence = inner.versions.last_sequence.max(seq);
+        }
+    }
+
+    /// Insert a committed group's operations into the fed trees `fed`.
+    fn insert_fed(&self, fed: &[usize], start_seq: u64, ops: &[BatchOp]) {
+        for tree in fed {
+            let core = &self.trees[tree - 1].core;
+            core.insert(
+                &mut core.inner.lock(),
+                write_batch::sequenced(start_seq, ops).filter(|(_, op)| op.tree as usize == *tree),
+            );
+        }
+    }
+
+    /// One operation of the shard's log, replayed at open into this fed
+    /// tree — unless the tree's tables already hold it.
+    fn replay_op(&self, seq: u64, op: &BatchOp) -> Result<()> {
+        if seq <= self.flushed_seq.load(Ordering::Acquire) {
+            return Ok(());
+        }
+        self.make_room()?;
+        self.insert(&mut self.inner.lock(), std::iter::once((seq, op)));
+        Ok(())
+    }
+
+    /// Make room in this fed tree's memtable for a commit of the shard,
+    /// by the tree's own `write_buffer_size` trigger and in its own mode.
+    /// Caller holds none of this tree's locks.
+    fn make_room(&self) -> Result<()> {
+        if self.opts.background_work {
+            self.maybe_slowdown();
+            self.make_room_bg(&mut self.inner.lock())
+        } else {
+            let _maintenance = self.maintenance.lock();
+            self.make_room_sync()
+        }
+    }
+
+    fn last_sequence(&self) -> u64 {
+        self.shard.last_seq.load(Ordering::Acquire)
+    }
+
+    /// Make every sequence up to `seq` visible to readers of every tree.
+    /// Only after the memtable inserts: a reader that Acquire-loads the
+    /// value is guaranteed to find the entries.
+    fn publish(&self, seq: u64) {
+        #[cfg(feature = "check")]
+        self.shard.vc.publish(seq);
+        self.shard.last_seq.store(seq, Ordering::Release);
+    }
+
+    /// The largest sequence number below which every operation on this
+    /// tree is in its tables.
+    fn durable_through(&self) -> u64 {
+        let rs = self.read_state();
+        if rs.imm.is_none() && rs.mem.read().is_empty() {
+            u64::MAX
+        } else {
+            self.flushed_seq.load(Ordering::Acquire)
+        }
+    }
+
+    /// Log file `number` of this table has been rotated out; `max_seq` is
+    /// the last sequence written to it.
+    fn close_log(&self, number: u64, max_seq: u64) {
+        self.shard
+            .closed
+            .lock()
+            .push((log_file_name(&self.name, number), max_seq));
+    }
+
+    /// Delete the closed log files no tree of the shard needs any more.
+    fn gc_logs(&self) {
+        let trees: Vec<Arc<DbCore>> = {
+            let mut trees = self.shard.trees.lock();
+            trees.retain(|t| t.strong_count() > 0);
+            trees.iter().filter_map(Weak::upgrade).collect()
+        };
+        let durable = trees.iter().map(|t| t.durable_through()).min();
+        self.shard.closed.lock().retain(|(path, max_seq)| {
+            if durable.is_some_and(|d| d < *max_seq) {
+                return true;
+            }
+            let _ = self.env.remove(path);
+            false
+        });
     }
 
     /// Pop the group from the queue, hand leadership to the next queued
@@ -1507,12 +1928,9 @@ impl DbCore {
             // promote the next leader but drop the wakeup. A follower that
             // already entered `cond.wait` sleeps forever — the classic lost
             // notify, caught by the scheduler's deadlock detector.
-            #[cfg(feature = "check")]
-            if !crate::model_bugs::skip_leader_notify() {
+            if !model_bugs::enabled(Fault::SkipLeaderNotify) {
                 next.cond.notify_one();
             }
-            #[cfg(not(feature = "check"))]
-            next.cond.notify_one();
         }
         // Sequence rebasing: batch i's start sequence is the group start
         // plus the operation counts of batches 0..i.
@@ -1603,14 +2021,13 @@ impl DbCore {
             let number = inner.versions.new_file_number();
             let wal = LogWriter::new(self.env.new_writable(&log_file_name(&self.name, number))?);
             inner.wal = Some(wal);
+            self.close_log(old_log, inner.versions.last_sequence);
             PendingFlush {
-                old_log: Some(old_log),
                 new_log: Some(number),
                 boundary_seq: inner.versions.last_sequence,
             }
         } else {
             PendingFlush {
-                old_log: None,
                 new_log: None,
                 boundary_seq: inner.versions.last_sequence,
             }
@@ -1642,12 +2059,20 @@ impl DbCore {
             None
         };
         let number = inner.versions.new_file_number();
-        let meta = self.build_l0_table(number, &rs.mem.read())?;
+        let meta = build_l0_table(
+            &self.opts,
+            &self.env,
+            &self.stats,
+            &self.name,
+            number,
+            &rs.mem.read(),
+        )?;
         let mut edit = VersionEdit {
             log_number: new_wal.as_ref().map(|(n, _)| *n),
             ..Default::default()
         };
         edit.add_file(0, meta);
+        inner.versions.flushed_seq = inner.versions.last_sequence;
         // A failed MANIFEST append poisons like a failed WAL append: the
         // writer's block offset no longer matches the file (see `fatal`).
         inner
@@ -1666,8 +2091,9 @@ impl DbCore {
         self.flushed_seq
             .store(inner.versions.last_sequence, Ordering::Release);
         if self.opts.wal_enabled {
-            let _ = self.env.remove(&log_file_name(&self.name, old_log));
+            self.close_log(old_log, inner.versions.last_sequence);
         }
+        self.gc_logs();
         Ok(())
     }
 
@@ -1685,7 +2111,14 @@ impl DbCore {
             }
         };
         let number = self.inner.lock().versions.new_file_number();
-        let meta = self.build_l0_table(number, &imm.read())?;
+        let meta = build_l0_table(
+            &self.opts,
+            &self.env,
+            &self.stats,
+            &self.name,
+            number,
+            &imm.read(),
+        )?;
 
         let mut inner = self.inner.lock();
         let mut edit = VersionEdit {
@@ -1693,6 +2126,9 @@ impl DbCore {
             ..Default::default()
         };
         edit.add_file(0, meta);
+        if let Some(p) = &pending {
+            inner.versions.flushed_seq = p.boundary_seq;
+        }
         inner
             .versions
             .log_and_apply(edit)
@@ -1709,52 +2145,10 @@ impl DbCore {
             self.flushed_seq.store(p.boundary_seq, Ordering::Release);
         }
         inner.pending_flush = None;
-        let old_log = pending.as_ref().and_then(|p| p.old_log);
         drop(inner);
-        if let Some(old) = old_log {
-            let _ = self.env.remove(&log_file_name(&self.name, old));
-        }
+        self.gc_logs();
         self.work_cond.notify_all();
         Ok(true)
-    }
-
-    /// Build SSTable `number` from a memtable and return its metadata
-    /// (counted against the flush I/O stats).
-    fn build_l0_table(&self, number: u64, mem: &MemTable) -> Result<FileMetaData> {
-        let path = table_file_name(&self.name, number);
-        let built = (|| -> Result<crate::table::TableMeta> {
-            let file = self.env.new_writable(&path)?;
-            let mut builder = TableBuilder::new(&self.opts, file);
-            let mut it = mem.iter();
-            it.seek_to_first();
-            while it.valid() {
-                builder.add(it.key(), it.value())?;
-                it.next();
-            }
-            builder.finish()
-        })();
-        let meta = match built {
-            Ok(meta) => meta,
-            Err(e) => {
-                // The partial table was never installed; drop it so a
-                // transient fault leaves no orphan behind. The memtable and
-                // WAL are untouched, so the flush is retryable.
-                let _ = self.env.remove(&path);
-                return Err(e);
-            }
-        };
-        IoStats::add(&self.stats.flush_bytes_written, meta.file_size);
-        IoStats::add(&self.stats.flush_blocks_written, meta.num_blocks);
-        IoStats::add(&self.stats.flushes, 1);
-        Ok(FileMetaData {
-            number,
-            file_size: meta.file_size,
-            num_entries: meta.num_entries,
-            num_blocks: meta.num_blocks,
-            smallest: meta.smallest,
-            largest: meta.largest,
-            sec_file_zones: meta.sec_file_zones,
-        })
     }
 
     /// Flush everything in memory (frozen, then active) to L0. Caller
@@ -2045,14 +2439,10 @@ impl DbCore {
     }
 
     fn remove_obsolete_files(&self) {
-        let (live, log_number, manifest_number) = {
+        let (live, manifest_number) = {
             let inner = self.inner.lock();
             let live: HashSet<u64> = inner.versions.live_files().into_iter().collect();
-            (
-                live,
-                inner.versions.log_number,
-                inner.versions.manifest_number(),
-            )
+            (live, inner.versions.manifest_number())
         };
         let Ok(names) = self.env.list(&self.name) else {
             return;
@@ -2062,12 +2452,6 @@ impl DbCore {
                 if let Ok(number) = numtext.parse::<u64>() {
                     if !live.contains(&number) {
                         self.tables.lock().remove(&number);
-                        let _ = self.env.remove(&format!("{}/{}", self.name, fname));
-                    }
-                }
-            } else if let Some(numtext) = fname.strip_suffix(".log") {
-                if let Ok(number) = numtext.parse::<u64>() {
-                    if number < log_number {
                         let _ = self.env.remove(&format!("{}/{}", self.name, fname));
                     }
                 }
@@ -2217,32 +2601,55 @@ fn flush_memtable_impl(
         return Ok(());
     }
     let number = versions.new_file_number();
-    let file = env.new_writable(&table_file_name(name, number))?;
-    let mut builder = TableBuilder::new(opts, file);
-    let mut it = mem.iter();
-    it.seek_to_first();
-    while it.valid() {
-        builder.add(it.key(), it.value())?;
-        it.next();
-    }
-    let meta = builder.finish()?;
+    edit.add_file(0, build_l0_table(opts, env, stats, name, number, mem)?);
+    *mem = MemTable::new();
+    Ok(())
+}
+
+/// Build SSTable `number` of database `name` from a memtable and return
+/// its metadata (counted against the flush I/O stats).
+fn build_l0_table(
+    opts: &DbOptions,
+    env: &Arc<dyn Env>,
+    stats: &IoStats,
+    name: &str,
+    number: u64,
+    mem: &MemTable,
+) -> Result<FileMetaData> {
+    let path = table_file_name(name, number);
+    let built = (|| -> Result<crate::table::TableMeta> {
+        let file = env.new_writable(&path)?;
+        let mut builder = TableBuilder::new(opts, file);
+        let mut it = mem.iter();
+        it.seek_to_first();
+        while it.valid() {
+            builder.add(it.key(), it.value())?;
+            it.next();
+        }
+        builder.finish()
+    })();
+    let meta = match built {
+        Ok(meta) => meta,
+        Err(e) => {
+            // The partial table was never installed; drop it so a
+            // transient fault leaves no orphan behind. The memtable and
+            // WAL are untouched, so the flush is retryable.
+            let _ = env.remove(&path);
+            return Err(e);
+        }
+    };
     IoStats::add(&stats.flush_bytes_written, meta.file_size);
     IoStats::add(&stats.flush_blocks_written, meta.num_blocks);
     IoStats::add(&stats.flushes, 1);
-    edit.add_file(
-        0,
-        FileMetaData {
-            number,
-            file_size: meta.file_size,
-            num_entries: meta.num_entries,
-            num_blocks: meta.num_blocks,
-            smallest: meta.smallest,
-            largest: meta.largest,
-            sec_file_zones: meta.sec_file_zones,
-        },
-    );
-    *mem = MemTable::new();
-    Ok(())
+    Ok(FileMetaData {
+        number,
+        file_size: meta.file_size,
+        num_entries: meta.num_entries,
+        num_blocks: meta.num_blocks,
+        smallest: meta.smallest,
+        largest: meta.largest,
+        sec_file_zones: meta.sec_file_zones,
+    })
 }
 
 /// One live entry from a [`ResolvedIter`]: `(user_key, seq, value)`.

@@ -48,7 +48,6 @@ pub mod ikey;
 pub mod iterator;
 pub mod memtable;
 pub mod merge;
-#[cfg(feature = "check")]
 pub mod model_bugs;
 pub mod options;
 pub mod repair;

@@ -1,43 +1,74 @@
-//! Seeded ordering bugs for the model checker (compiled only with the
-//! `check` feature; every flag defaults to off and the instrumented
-//! code is byte-for-byte the correct path unless a test flips one).
+//! Seeded ordering bugs for the model checker: one table for the engine
+//! and the index layer above it. Every fault is off unless a `check`
+//! build's test switches it on — without the feature [`enabled`] is a
+//! constant `false` and the seeded branches compile away.
 //!
 //! The `ldbpp-model` explorer proves its detectors actually fire by
 //! deliberately re-introducing ordering bugs the engine has (or could
-//! have) had, behind these process-global flags, and asserting the
-//! exploration finds a failing schedule and prints a replayable seed.
-//! Flags are read at the affected code site on every execution; model
-//! tests run serialised (the explorer holds a process-wide lock), so a
-//! flag set inside one model's instance factory cannot leak into a
-//! concurrently running model.
+//! have) had, and asserting the exploration finds a failing schedule and
+//! prints a replayable seed. Flags are read at the affected code site on
+//! every execution; model tests run serialised (the explorer holds a
+//! process-wide lock), so a flag set inside one model's instance factory
+//! cannot leak into a concurrently running model.
 
+#[cfg(feature = "check")]
 use std::sync::atomic::{AtomicBool, Ordering};
 
-static PUBLISH_BEFORE_INSERT: AtomicBool = AtomicBool::new(false);
-static SKIP_LEADER_NOTIFY: AtomicBool = AtomicBool::new(false);
-
-/// Seeded bug: Release-store `last_seq` *before* the memtable insert in
-/// `append_group`, breaking the publish happens-before edge readers
-/// rely on (a reader can Acquire-load a sequence whose entries are not
-/// yet visible). Caught by the vclock consume check / read invariants.
-pub fn publish_before_insert() -> bool {
-    PUBLISH_BEFORE_INSERT.load(Ordering::Relaxed)
+/// The seeded faults.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fault {
+    /// Release-store `last_seq` *before* the memtable insert in
+    /// `append_group`, breaking the publish happens-before edge readers
+    /// rely on (a reader can Acquire-load a sequence whose entries are not
+    /// yet visible). Caught by the vclock consume check.
+    PublishBeforeInsert,
+    /// `finish_group` promotes the next queue-front writer (sets
+    /// `state.leader`) but drops the condvar notify. A follower that
+    /// already entered `cond.wait` sleeps forever — the classic lost
+    /// wakeup. Caught by the scheduler's deadlock detector.
+    SkipLeaderNotify,
+    /// Apply a group's index-tree operations and publish them *before*
+    /// the WAL append and the primary insert: a reader can find an index
+    /// entry whose primary record does not exist at the same snapshot —
+    /// the state a crash between the two steps would also make durable.
+    IndexBeforeWal,
+    /// The PR 7 Eager range-lookup bug: truncate the candidate heap to a
+    /// K-prefix *before* validating candidates against the primary. Stale
+    /// postings then crowd out valid older entries and the lookup
+    /// under-fills K — caught by the model's serial-oracle history check.
+    EagerKPrefix,
 }
 
-/// Enable or disable [`publish_before_insert`].
-pub fn set_publish_before_insert(on: bool) {
-    PUBLISH_BEFORE_INSERT.store(on, Ordering::Relaxed);
+#[cfg(feature = "check")]
+static FLAGS: [AtomicBool; 4] = [
+    AtomicBool::new(false),
+    AtomicBool::new(false),
+    AtomicBool::new(false),
+    AtomicBool::new(false),
+];
+
+/// Whether `fault` is switched on.
+#[inline]
+pub fn enabled(fault: Fault) -> bool {
+    #[cfg(feature = "check")]
+    return FLAGS[fault as usize].load(Ordering::Relaxed);
+    #[cfg(not(feature = "check"))]
+    {
+        let _ = fault;
+        false
+    }
 }
 
-/// Seeded bug: `finish_group` promotes the next queue-front writer
-/// (sets `state.leader`) but drops the condvar notify. A follower that
-/// already entered `cond.wait` sleeps forever — the classic lost
-/// wakeup. Caught by the scheduler's deadlock detector.
-pub fn skip_leader_notify() -> bool {
-    SKIP_LEADER_NOTIFY.load(Ordering::Relaxed)
+/// Switch `fault` on or off.
+#[cfg(feature = "check")]
+pub fn set(fault: Fault, on: bool) {
+    FLAGS[fault as usize].store(on, Ordering::Relaxed);
 }
 
-/// Enable or disable [`skip_leader_notify`].
-pub fn set_skip_leader_notify(on: bool) {
-    SKIP_LEADER_NOTIFY.store(on, Ordering::Relaxed);
+/// Switch every fault off.
+#[cfg(feature = "check")]
+pub fn reset() {
+    for flag in &FLAGS {
+        flag.store(false, Ordering::Relaxed);
+    }
 }

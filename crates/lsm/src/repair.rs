@@ -37,7 +37,7 @@ use crate::version::{
     FileMetaData, VersionEdit,
 };
 use crate::wal::{LogReader, LogWriter};
-use crate::write_batch::WriteBatch;
+use crate::write_batch::{self, WriteBatch};
 use ldbpp_common::{Error, Result};
 use std::sync::Arc;
 
@@ -59,6 +59,10 @@ pub struct RepairReport {
     pub corrupt_blocks_skipped: u64,
     /// WAL records recovered into L0 tables.
     pub wal_records_recovered: u64,
+    /// Operations in the WAL that belong to the index trees of the shard.
+    /// They were kept out of this table's L0 and left in their log file
+    /// (unless it was quarantined) for the trees to replay.
+    pub wal_index_ops_left: u64,
     /// WAL corruption events resynchronized past (see
     /// [`crate::wal::LogReader::records_salvaged`]).
     pub wal_records_salvaged: u64,
@@ -237,17 +241,24 @@ pub fn repair_db(env: &Arc<dyn Env>, dbname: &str, opts: &DbOptions) -> Result<R
         let mut mem = MemTable::new();
         let mut decode_failures = 0u64;
         let mut wal_max_seq = 0u64;
+        let mut index_ops = 0u64;
         while let Some(record) = reader.read_record()? {
             let Ok((seq, ops)) = WriteBatch::decode(&record) else {
                 decode_failures += 1;
                 report.wal_bytes_dropped += record.len() as u64;
                 continue;
             };
-            for (i, op) in ops.iter().enumerate() {
-                mem.add(seq + i as u64, op.vtype, &op.key, &op.value);
+            for (seq, op) in write_batch::sequenced(seq, &ops) {
+                // The log of a shard also carries the operations of its
+                // index trees; they are no records of this table.
+                if op.tree == 0 {
+                    mem.add(seq, op.vtype, &op.key, &op.value);
+                } else {
+                    index_ops += 1;
+                }
+                wal_max_seq = wal_max_seq.max(seq);
             }
             report.wal_records_recovered += 1;
-            wal_max_seq = wal_max_seq.max(seq + ops.len().max(1) as u64 - 1);
             if mem.approximate_bytes() >= opts.write_buffer_size {
                 let new_number = next_number;
                 next_number += 1;
@@ -280,9 +291,14 @@ pub fn repair_db(env: &Arc<dyn Env>, dbname: &str, opts: &DbOptions) -> Result<R
         if reader.records_salvaged() > 0 || reader.bytes_dropped() > 0 || decode_failures > 0 {
             // The log lost data: keep the original for forensics.
             quarantine(env, dbname, &fname, &mut report)?;
-        } else {
+        } else if index_ops == 0 {
             let _ = env.remove(&log_file_name(dbname, number));
         }
+        // Otherwise the file stays where it is, below the log number the
+        // new MANIFEST records: the next open through the shard skips
+        // this table's records in it (they are in L0 now) and hands each
+        // index tree what the tree has not flushed.
+        report.wal_index_ops_left += index_ops;
     }
 
     // Renumber survivors so L0's newest-number-first probe order matches
@@ -311,6 +327,7 @@ pub fn repair_db(env: &Arc<dyn Env>, dbname: &str, opts: &DbOptions) -> Result<R
         next_file_number: Some(next_number),
         last_sequence: Some(last_sequence),
         erased_keys: Some(erased_keys),
+        flushed_seq: Some(last_sequence),
         ..Default::default()
     };
     for s in &survivors {

@@ -91,7 +91,7 @@ struct DomainState {
 struct SeqDomainState {
     /// Allocated ranges `start -> end` (inclusive), pairwise disjoint.
     ranges: BTreeMap<u64, u64>,
-    /// Highest sequence known handed out or observed.
+    /// Highest sequence `observe`d (a recovered on-disk tail).
     watermark: u64,
     /// Join of every allocator/observer clock (the RMW chain's
     /// cumulative happens-before).
@@ -185,6 +185,17 @@ impl Domain {
             );
             Domain { id }
         })
+    }
+
+    /// Move the publication base to `base`: the trees of one shard share
+    /// a domain that is registered before recovery knows the tail
+    /// sequence. Only valid before the first [`Domain::publish`].
+    pub fn set_base(&self, base: u64) {
+        with_state(|st, _| {
+            if let Some(ds) = st.domains.get_mut(&self.id) {
+                ds.published = base;
+            }
+        });
     }
 
     /// The domain's process-unique id (stamped into memtables so
@@ -375,8 +386,11 @@ impl SeqDomain {
                     self.id, ds.watermark
                 );
             }
+            // The watermark stays what `observe` saw: two shards' leaders
+            // report their allocations here in either order, and folding
+            // range ends into it would flag the later report of the
+            // earlier range.
             ds.ranges.insert(start, end);
-            ds.watermark = ds.watermark.max(end);
             let clock = &mut st.clocks[slot];
             if clock.len() <= slot {
                 clock.resize(slot + 1, 0);

@@ -266,6 +266,7 @@ const TAG_COMPACT_POINTER: u32 = 4;
 const TAG_DELETED_FILE: u32 = 5;
 const TAG_NEW_FILE: u32 = 6;
 const TAG_ERASED_KEYS: u32 = 7;
+const TAG_FLUSHED_SEQ: u32 = 8;
 
 /// A delta between two versions, logged to the MANIFEST.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -281,6 +282,11 @@ pub struct VersionEdit {
     /// consumed by the integrity checker to decide whether a dangling
     /// secondary-index entry is provably corruption or merely stale.
     pub erased_keys: Option<u64>,
+    /// Largest sequence number whose operations on this tree are all in
+    /// its tables. A tree fed by another table's commit log (a stand-alone
+    /// index) replays only operations above it, so a log record is never
+    /// applied twice however flushes and crashes interleave.
+    pub flushed_seq: Option<u64>,
     /// Round-robin compaction cursors: (level, largest key compacted).
     pub compact_pointers: Vec<(usize, Vec<u8>)>,
     /// Files removed: (level, file number).
@@ -317,6 +323,10 @@ impl VersionEdit {
         }
         if let Some(v) = self.erased_keys {
             put_varint32(&mut out, TAG_ERASED_KEYS);
+            put_varint64(&mut out, v);
+        }
+        if let Some(v) = self.flushed_seq {
+            put_varint32(&mut out, TAG_FLUSHED_SEQ);
             put_varint64(&mut out, v);
         }
         for (level, key) in &self.compact_pointers {
@@ -364,6 +374,11 @@ impl VersionEdit {
                     let (v, n) = get_varint64(&src[pos..])?;
                     pos += n;
                     edit.erased_keys = Some(v);
+                }
+                TAG_FLUSHED_SEQ => {
+                    let (v, n) = get_varint64(&src[pos..])?;
+                    pos += n;
+                    edit.flushed_seq = Some(v);
                 }
                 TAG_COMPACT_POINTER => {
                     let (level, n) = get_varint32(&src[pos..])?;
@@ -414,6 +429,10 @@ pub struct VersionSet {
     /// Cumulative count of user keys fully erased at the base level (see
     /// [`VersionEdit::erased_keys`]). Persisted with every edit.
     pub erased_keys: u64,
+    /// See [`VersionEdit::flushed_seq`]. Persisted with every edit; a
+    /// MANIFEST written before the field existed recovers it as
+    /// `last_sequence` (such a tree was flushed whole by its own recovery).
+    pub flushed_seq: u64,
     /// Round-robin compaction cursors per level.
     pub compact_pointer: Vec<Vec<u8>>,
     /// Number of the MANIFEST file currently being appended to.
@@ -449,6 +468,7 @@ impl VersionSet {
             last_sequence: 0,
             log_number: 2,
             erased_keys: 0,
+            flushed_seq: 0,
             compact_pointer: vec![Vec::new(); num_levels],
             manifest_number,
             recovered_edits: 0,
@@ -470,6 +490,7 @@ impl VersionSet {
         let mut last_sequence = 0;
         let mut log_number = 2;
         let mut erased_keys = 0;
+        let mut flushed_seq = None;
         let mut compact_pointer = vec![Vec::new(); num_levels];
         let mut recovered_edits = 0u64;
         while let Some(record) = reader.read_record()? {
@@ -488,12 +509,17 @@ impl VersionSet {
             if let Some(v) = edit.erased_keys {
                 erased_keys = v;
             }
+            if edit.flushed_seq.is_some() {
+                flushed_seq = edit.flushed_seq;
+            }
             for (level, key) in edit.compact_pointers {
                 if level < num_levels {
                     compact_pointer[level] = key;
                 }
             }
         }
+
+        let flushed_seq = flushed_seq.unwrap_or(last_sequence);
 
         // Re-open the manifest for appending: rewrite a fresh manifest with
         // a snapshot edit (simpler than appending to the old one).
@@ -506,6 +532,7 @@ impl VersionSet {
             next_file_number: Some(next_file_number),
             last_sequence: Some(last_sequence),
             erased_keys: Some(erased_keys),
+            flushed_seq: Some(flushed_seq),
             ..Default::default()
         };
         for (level, files) in version.files.iter().enumerate() {
@@ -532,6 +559,7 @@ impl VersionSet {
             last_sequence,
             log_number,
             erased_keys,
+            flushed_seq,
             compact_pointer,
             manifest_number,
             recovered_edits,
@@ -555,6 +583,7 @@ impl VersionSet {
         edit.next_file_number = Some(self.next_file_number);
         edit.last_sequence = Some(self.last_sequence);
         edit.erased_keys = Some(self.erased_keys);
+        edit.flushed_seq = Some(self.flushed_seq);
         if edit.log_number.is_none() {
             edit.log_number = Some(self.log_number);
         }

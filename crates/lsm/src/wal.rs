@@ -7,8 +7,8 @@
 //! truncated tail (the crash case) but reports mid-file corruption.
 //!
 //! The log layer is payload-agnostic, which is what keeps group commit
-//! (DESIGN.md §14) replay-compatible: a multi-batch group is encoded by
-//! [`crate::write_batch::encode_group`] as *one* record — a single
+//! (DESIGN.md §14) replay-compatible: the group leader encodes a
+//! multi-batch group as *one* record — a single
 //! `seq(8) count(4)` batch header whose count is the group's total op
 //! count, followed by the members' concatenated op bodies — so recovery
 //! decodes it with the unchanged single-batch [`crate::write_batch`]

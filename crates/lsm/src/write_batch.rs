@@ -4,15 +4,28 @@
 //! WAL record and one memtable application, with consecutive sequence
 //! numbers. Encoding mirrors LevelDB: `seq(8) count(4)` header followed by
 //! tagged, length-prefixed records.
+//!
+//! A shard's commit log carries the operations of several LSM trees — the
+//! primary table (tree 0) and one tree per stand-alone index. An operation
+//! for tree `t > 0` sets `TREE_BIT` in its type byte and is followed by
+//! `varint32(t)`; a tree-0 operation is encoded exactly as before, so a
+//! batch that touches no index tree is byte-identical to the pre-tag
+//! format. Operations the group-commit leader *derives* from a primary
+//! operation additionally set `DERIVED_BIT`: they consume no sequence
+//! number of their own and share the one of the operation they follow.
 
 use crate::ikey::ValueType;
 use ldbpp_common::coding::{
-    decode_fixed32, decode_fixed64, get_length_prefixed, put_fixed32, put_fixed64,
-    put_length_prefixed,
+    decode_fixed32, decode_fixed64, get_length_prefixed, get_varint32, put_fixed32, put_fixed64,
+    put_length_prefixed, put_varint32,
 };
 use ldbpp_common::{Error, Result};
 
 const HEADER: usize = 12;
+/// Type-byte flag: the operation belongs to the tree whose id follows.
+const TREE_BIT: u8 = 0x80;
+/// Type-byte flag: the operation shares the previous operation's sequence.
+const DERIVED_BIT: u8 = 0x40;
 
 /// A reusable batch of writes applied atomically.
 #[derive(Debug, Clone)]
@@ -38,24 +51,28 @@ impl WriteBatch {
 
     /// Queue a PUT.
     pub fn put(&mut self, key: &[u8], value: &[u8]) {
-        self.rep.push(ValueType::Value as u8);
-        put_length_prefixed(&mut self.rep, key);
-        put_length_prefixed(&mut self.rep, value);
-        self.count += 1;
+        self.add(0, ValueType::Value, key, value);
     }
 
     /// Queue a DEL.
     pub fn delete(&mut self, key: &[u8]) {
-        self.rep.push(ValueType::Deletion as u8);
-        put_length_prefixed(&mut self.rep, key);
-        self.count += 1;
+        self.add(0, ValueType::Deletion, key, &[]);
     }
 
     /// Queue a MERGE operand.
     pub fn merge(&mut self, key: &[u8], operand: &[u8]) {
-        self.rep.push(ValueType::Merge as u8);
-        put_length_prefixed(&mut self.rep, key);
-        put_length_prefixed(&mut self.rep, operand);
+        self.add(0, ValueType::Merge, key, operand);
+    }
+
+    /// Queue `op` for the tree it names. Every queued operation takes a
+    /// sequence number of its own ([`BatchOp::derived`] is the commit
+    /// leader's to set, and ignored here).
+    pub fn push(&mut self, op: &BatchOp) {
+        self.add(op.tree, op.vtype, &op.key, &op.value);
+    }
+
+    fn add(&mut self, tree: u32, vtype: ValueType, key: &[u8], value: &[u8]) {
+        encode_op(&mut self.rep, tree, false, vtype, key, value);
         self.count += 1;
     }
 
@@ -98,7 +115,8 @@ impl WriteBatch {
         &self.rep
     }
 
-    /// Decode a WAL payload into `(start_seq, ops)`.
+    /// Decode a WAL payload into `(start_seq, ops)`. Pair the operations
+    /// with their sequence numbers through [`sequenced`].
     pub fn decode(payload: &[u8]) -> Result<(u64, Vec<BatchOp>)> {
         if payload.len() < HEADER {
             return Err(Error::corruption("write batch too small"));
@@ -110,38 +128,48 @@ impl WriteBatch {
 
     /// Iterate the queued operations without consuming the batch.
     pub fn ops(&self) -> Result<Vec<BatchOp>> {
-        // The in-place header is only stamped by `encode`; decode from a
-        // copy with the current count filled in (sequence is irrelevant).
-        let mut rep = self.rep.clone();
-        let mut head = Vec::with_capacity(HEADER);
-        put_fixed64(&mut head, 0);
-        put_fixed32(&mut head, self.count);
-        rep[..HEADER].copy_from_slice(&head);
-        Ok(WriteBatch::decode(&rep)?.1)
+        decode_ops(self.op_bytes(), self.count)
     }
 }
 
-/// Build the WAL payload for a group commit: one `seq(8) count(4)` header
-/// stamped with `start_seq` and the summed operation count, followed by
-/// each batch's operation bodies (see [`WriteBatch::op_bytes`]) in queue
-/// order.
-///
-/// The result decodes with [`WriteBatch::decode`] exactly like a single
-/// batch — the WAL format is unchanged, and recovery replays a group
-/// without knowing it was one. A group of one is byte-for-byte identical
-/// to [`WriteBatch::encode`] on that batch, which is what keeps
-/// single-writer foreground runs deterministic. Batch *i*'s start
-/// sequence inside the group is `start_seq` plus the operation counts of
-/// batches `0..i` (sequence rebasing).
-pub fn encode_group(start_seq: u64, parts: &[(&[u8], u32)]) -> Vec<u8> {
-    let body_len: usize = parts.iter().map(|(b, _)| b.len()).sum();
-    let total: u32 = parts.iter().map(|&(_, c)| c).sum();
-    let mut payload = Vec::with_capacity(HEADER + body_len);
-    put_fixed64(&mut payload, start_seq);
-    put_fixed32(&mut payload, total);
-    for (body, _) in parts {
-        payload.extend_from_slice(body);
+/// Append the encoding of one operation.
+pub(crate) fn encode_op(
+    out: &mut Vec<u8>,
+    tree: u32,
+    derived: bool,
+    vtype: ValueType,
+    key: &[u8],
+    value: &[u8],
+) {
+    let mut tag = vtype as u8;
+    if tree != 0 {
+        tag |= TREE_BIT;
     }
+    if derived {
+        tag |= DERIVED_BIT;
+    }
+    out.push(tag);
+    if tree != 0 {
+        put_varint32(out, tree);
+    }
+    put_length_prefixed(out, key);
+    if vtype != ValueType::Deletion {
+        put_length_prefixed(out, value);
+    }
+}
+
+/// Start a WAL payload: the `seq(8) count(4)` header, to be followed by
+/// `count` encoded operations.
+///
+/// A payload that holds one batch's [`WriteBatch::op_bytes`] is
+/// byte-for-byte [`WriteBatch::encode`] on that batch, and one that holds
+/// several batches' bodies in queue order decodes with
+/// [`WriteBatch::decode`] like a single batch — the WAL format does not
+/// know about groups, and recovery replays one without knowing it was one.
+pub(crate) fn payload_header(start_seq: u64, count: u32) -> Vec<u8> {
+    let mut payload = Vec::with_capacity(HEADER);
+    put_fixed64(&mut payload, start_seq);
+    put_fixed32(&mut payload, count);
     payload
 }
 
@@ -154,11 +182,19 @@ pub fn decode_ops(body: &[u8], count: u32) -> Result<Vec<BatchOp>> {
         if pos >= body.len() {
             return Err(Error::corruption("write batch truncated"));
         }
-        let tag = ValueType::from_u8(body[pos])?;
+        let tag = body[pos];
         pos += 1;
+        let vtype = ValueType::from_u8(tag & !(TREE_BIT | DERIVED_BIT))?;
+        let tree = if tag & TREE_BIT != 0 {
+            let (tree, n) = get_varint32(&body[pos..])?;
+            pos += n;
+            tree
+        } else {
+            0
+        };
         let (key, n) = get_length_prefixed(&body[pos..])?;
         pos += n;
-        let value = match tag {
+        let value = match vtype {
             ValueType::Deletion => Vec::new(),
             _ => {
                 let (v, n) = get_length_prefixed(&body[pos..])?;
@@ -167,15 +203,33 @@ pub fn decode_ops(body: &[u8], count: u32) -> Result<Vec<BatchOp>> {
             }
         };
         ops.push(BatchOp {
-            vtype: tag,
+            vtype,
             key: key.to_vec(),
             value,
+            tree,
+            derived: tag & DERIVED_BIT != 0,
         });
     }
     if pos != body.len() {
         return Err(Error::corruption("write batch trailing bytes"));
     }
+    if ops.first().is_some_and(|op| op.derived) {
+        return Err(Error::corruption("write batch starts with a derived op"));
+    }
     Ok(ops)
+}
+
+/// Pair each operation of a batch starting at `start_seq` with its
+/// sequence number: one more than the previous operation's, or the same
+/// for a derived one.
+pub fn sequenced(start_seq: u64, ops: &[BatchOp]) -> impl Iterator<Item = (u64, &BatchOp)> {
+    let mut next = start_seq;
+    ops.iter().map(move |op| {
+        if !op.derived {
+            next += 1;
+        }
+        (next - 1, op)
+    })
 }
 
 /// One decoded operation from a batch.
@@ -187,6 +241,39 @@ pub struct BatchOp {
     pub key: Vec<u8>,
     /// Value or merge operand (empty for DEL).
     pub value: Vec<u8>,
+    /// The tree the operation belongs to: 0 for the table that owns the
+    /// log, `i` for the `i`-th tree it commits for.
+    pub tree: u32,
+    /// Derived by the commit leader from the operation before it, whose
+    /// sequence number it shares.
+    pub derived: bool,
+}
+
+impl BatchOp {
+    fn new(tree: u32, vtype: ValueType, key: &[u8], value: &[u8]) -> BatchOp {
+        BatchOp {
+            vtype,
+            key: key.to_vec(),
+            value: value.to_vec(),
+            tree,
+            derived: false,
+        }
+    }
+
+    /// A PUT in `tree`.
+    pub fn put(tree: u32, key: &[u8], value: &[u8]) -> BatchOp {
+        BatchOp::new(tree, ValueType::Value, key, value)
+    }
+
+    /// A DEL in `tree`.
+    pub fn delete(tree: u32, key: &[u8]) -> BatchOp {
+        BatchOp::new(tree, ValueType::Deletion, key, &[])
+    }
+
+    /// A MERGE operand in `tree`.
+    pub fn merge(tree: u32, key: &[u8], operand: &[u8]) -> BatchOp {
+        BatchOp::new(tree, ValueType::Merge, key, operand)
+    }
 }
 
 #[cfg(test)]
@@ -206,21 +293,9 @@ mod tests {
         assert_eq!(
             ops,
             vec![
-                BatchOp {
-                    vtype: ValueType::Value,
-                    key: b"k1".to_vec(),
-                    value: b"v1".to_vec()
-                },
-                BatchOp {
-                    vtype: ValueType::Deletion,
-                    key: b"k2".to_vec(),
-                    value: vec![]
-                },
-                BatchOp {
-                    vtype: ValueType::Merge,
-                    key: b"k3".to_vec(),
-                    value: b"[\"t1\"]".to_vec()
-                },
+                BatchOp::put(0, b"k1", b"v1"),
+                BatchOp::delete(0, b"k2"),
+                BatchOp::merge(0, b"k3", b"[\"t1\"]"),
             ]
         );
     }
@@ -263,7 +338,8 @@ mod tests {
         b.put(b"k1", b"v1");
         b.delete(b"k2");
         let single = b.encode(42).to_vec();
-        let grouped = encode_group(42, &[(b.op_bytes(), b.count())]);
+        let mut grouped = payload_header(42, b.count());
+        grouped.extend_from_slice(b.op_bytes());
         assert_eq!(single, grouped, "group of 1 must be byte-identical");
     }
 
@@ -276,14 +352,10 @@ mod tests {
         b.delete(b"b1");
         let mut c = WriteBatch::new();
         c.merge(b"c1", b"[\"t\"]");
-        let payload = encode_group(
-            100,
-            &[
-                (a.op_bytes(), a.count()),
-                (b.op_bytes(), b.count()),
-                (c.op_bytes(), c.count()),
-            ],
-        );
+        let mut payload = payload_header(100, a.count() + b.count() + c.count());
+        for batch in [&a, &b, &c] {
+            payload.extend_from_slice(batch.op_bytes());
+        }
         let (seq, ops) = WriteBatch::decode(&payload).unwrap();
         assert_eq!(seq, 100);
         assert_eq!(ops.len(), 4);
@@ -313,5 +385,59 @@ mod tests {
         let ops = b.ops().unwrap();
         assert_eq!(ops.len(), 2);
         assert_eq!(ops[1].vtype, ValueType::Deletion);
+    }
+
+    #[test]
+    fn untagged_batch_is_byte_identical_to_the_pre_tag_format() {
+        let mut b = WriteBatch::new();
+        b.put(b"k", b"v");
+        b.delete(b"d");
+        b.merge(b"m", b"o");
+        let mut want = vec![ValueType::Value as u8, 1, b'k', 1, b'v'];
+        want.extend([ValueType::Deletion as u8, 1, b'd']);
+        want.extend([ValueType::Merge as u8, 1, b'm', 1, b'o']);
+        assert_eq!(b.op_bytes(), want);
+    }
+
+    #[test]
+    fn tree_tags_and_derived_ops_roundtrip_and_share_sequences() {
+        // What a leader logs for PUT(k) with two index trees, then a
+        // caller-tagged index op: the derived ops ride on k's sequence.
+        let ops = [
+            BatchOp::put(0, b"k", b"doc"),
+            BatchOp::merge(1, b"u1", b"[k]"),
+            BatchOp::put(300, b"u1k", b"seq"),
+            BatchOp::delete(2, b"old"),
+        ];
+        let mut payload = payload_header(7, ops.len() as u32);
+        for (i, op) in ops.iter().enumerate() {
+            encode_op(
+                &mut payload,
+                op.tree,
+                i == 1 || i == 2,
+                op.vtype,
+                &op.key,
+                &op.value,
+            );
+        }
+        let (start, decoded) = WriteBatch::decode(&payload).unwrap();
+        let seqs: Vec<(u64, u32, bool)> = sequenced(start, &decoded)
+            .map(|(seq, op)| (seq, op.tree, op.derived))
+            .collect();
+        assert_eq!(
+            seqs,
+            vec![(7, 0, false), (7, 1, true), (7, 300, true), (8, 2, false)]
+        );
+        for (got, want) in decoded.iter().zip(&ops) {
+            assert_eq!(
+                (&got.key, &got.value, got.vtype),
+                (&want.key, &want.value, want.vtype)
+            );
+        }
+        // A record cannot open with a derived op: there is nothing to
+        // share a sequence with.
+        let mut bad = payload_header(1, 1);
+        encode_op(&mut bad, 1, true, ValueType::Merge, b"u1", b"[k]");
+        assert!(WriteBatch::decode(&bad).is_err());
     }
 }

@@ -53,6 +53,50 @@ fn assert_all_readable(db: &Db, n: usize) {
 }
 
 #[test]
+fn repair_keeps_index_tree_operations_out_of_the_primary() {
+    use ldbpp_lsm::write_batch::{BatchOp, WriteBatch};
+    let env: Arc<dyn Env> = MemEnv::new();
+    let trees = [(format!("{DB}_idx"), opts())];
+    let db = Db::open_with_trees(env.clone(), DB, opts(), &trees).unwrap();
+    for i in 0..20 {
+        let mut batch = WriteBatch::new();
+        batch.put(&key(i), &val(i));
+        batch.push(&BatchOp::put(
+            1,
+            format!("posting{i:04}").as_bytes(),
+            &key(i),
+        ));
+        db.write(&mut batch).unwrap();
+    }
+    drop(db); // everything still in the shard's one log
+
+    let report = repair_db(&env, DB, &opts()).unwrap();
+    assert!(report.is_clean(), "{report:?}");
+    assert_eq!(report.wal_index_ops_left, 20);
+    // No posting became a record of the primary ...
+    let primary = Db::open(env.clone(), DB, opts()).unwrap();
+    let mut it = primary.resolved_iter().unwrap();
+    it.seek_to_first();
+    let mut records = 0;
+    while let Some((k, _, _)) = it.next_entry().unwrap() {
+        assert!(k.starts_with(b"key"), "{:?}", String::from_utf8_lossy(&k));
+        records += 1;
+    }
+    assert_eq!(records, 20);
+    drop(it);
+    drop(primary);
+    // ... and none was lost: the log stayed, below the repaired MANIFEST's
+    // log number, and the next open through the shard feeds the tree.
+    let db = Db::open_with_trees(env.clone(), DB, opts(), &trees).unwrap();
+    assert_all_readable(&db, 20);
+    for i in 0..20 {
+        let posting = db.trees()[0].get(format!("posting{i:04}").as_bytes());
+        assert_eq!(posting.unwrap(), Some(key(i)), "posting {i} lost");
+    }
+    assert!(db.check_integrity().is_clean());
+}
+
+#[test]
 fn repair_of_clean_db_is_lossless() {
     let env: Arc<dyn Env> = MemEnv::new();
     drop(build(env.clone()));

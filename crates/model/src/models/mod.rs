@@ -4,8 +4,8 @@
 //! off, no background work), runs 2–3 model threads against it under
 //! the cooperative scheduler, and checks every completed schedule
 //! against a serial oracle or an integrity invariant. The factories
-//! also (re)set the seeded-bug flags (`ldbpp_lsm::model_bugs`,
-//! `ldbpp_core::model_bugs`) so a sweep always starts from a known
+//! also (re)set the seeded-bug flags (`ldbpp_lsm::model_bugs`, one table
+//! for every layer) so a sweep always starts from a known
 //! fault configuration, and reset the vclock registry — the previous
 //! instance is dropped by the explorer before a factory runs again.
 
@@ -18,10 +18,7 @@ pub mod scatter;
 /// only the faults it wants.
 pub(crate) fn reset_faults() {
     ldbpp_lsm::vclock::reset();
-    ldbpp_lsm::model_bugs::set_publish_before_insert(false);
-    ldbpp_lsm::model_bugs::set_skip_leader_notify(false);
-    ldbpp_core::model_bugs::set_eager_k_prefix(false);
-    ldbpp_core::model_bugs::set_tombstone_after_cleanup(false);
+    ldbpp_lsm::model_bugs::reset();
 }
 
 /// Engine options shared by the bounded models: tiny buffers, no WAL

@@ -16,19 +16,17 @@
 //!   seeded PR 7 K-prefix truncation re-enabled, the stale entry crowds
 //!   a valid candidate out of the heap and the lookup under-fills K.
 //! * [`delete_vs_lookup`] — a delete races an index reader on an
-//!   Eager-indexed shard. The correct tombstone-first ordering keeps
-//!   every window linearizable (a stale posting over a dead record is
-//!   absorbed by read validation). With the seeded PR 8 reordering
-//!   (index cleanup before the primary tombstone), a window exists
-//!   where the lookup misses a record a later point-get still finds —
-//!   no serial order explains that history, and the WGL checker rejects
-//!   it.
+//!   Eager-indexed shard. The tombstone and the index cleanup are one
+//!   commit, published at once: no window exists in which the lookup
+//!   misses a record a later point-get still finds, and the WGL checker
+//!   accepts every history.
 
 use crate::explore::Instance;
 use crate::lin::{check_linearizable, Recorder, Spec};
 use ldbpp_common::json::Value;
 use ldbpp_core::{CheckCode, Document, IndexKind, SecondaryDb, SecondaryDbOptions};
 use ldbpp_lsm::env::MemEnv;
+use ldbpp_lsm::model_bugs::{self, Fault};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -205,7 +203,7 @@ impl Spec for RangeSpec {
 /// re-enables the PR 7 candidate-heap truncation.
 pub fn eager_range(k_prefix_bug: bool) -> Instance {
     super::reset_faults();
-    ldbpp_core::model_bugs::set_eager_k_prefix(k_prefix_bug);
+    model_bugs::set(Fault::EagerKPrefix, k_prefix_bug);
     let db = open(1, &[("A", IndexKind::EagerStandalone)]);
     // Prepopulate (sequences 1..=5). The two updates of pk1 leave a
     // stale `(pk1, seq 4)` posting at the top of value 2's list while
@@ -288,19 +286,14 @@ impl Spec for DeleteSpec {
 }
 
 /// A delete racing a reader (index lookup, then point-get) on an
-/// Eager-indexed shard. With the correct tombstone-before-cleanup
-/// ordering every window is linearizable: the reader can at worst see a
-/// stale posting, which validation against the primary filters out.
-/// `reorder_bug` re-enables the PR 8 cleanup-before-tombstone ordering,
-/// opening a window where the lookup misses a record that is still live
-/// — the reader's following point-get finds it, and no serial order
-/// explains `Lookup -> []` followed by `Get -> found`.
+/// Eager-indexed shard. The primary tombstone and the rewritten posting
+/// list become visible in one publish, so every window is linearizable:
+/// `Lookup -> []` is never followed by `Get -> found`.
 ///
 /// The final state must additionally pass the posting-table integrity
 /// scan with no dangling posting.
-pub fn delete_vs_lookup(reorder_bug: bool) -> Instance {
+pub fn delete_vs_lookup() -> Instance {
     super::reset_faults();
-    ldbpp_core::model_bugs::set_tombstone_after_cleanup(reorder_bug);
     let db = open(1, &[("A", IndexKind::EagerStandalone)]);
     db.put("px", &doc(7)).expect("prep");
     let rec = Recorder::<Op, Ret>::new();

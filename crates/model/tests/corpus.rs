@@ -30,7 +30,7 @@ fn corpus_group_commit_early_publish() {
         ..Default::default()
     };
     assert_replays(
-        "v1:0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.1.1.1:78d761e8",
+        "v1:0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.1.1.1:f6184624",
         group_commit::instance(cfg),
         "early-publish",
         "vclock",
@@ -56,7 +56,7 @@ fn corpus_group_commit_lost_leader_wakeup() {
 fn corpus_eager_k_prefix_truncation() {
     let _g = ldbpp_model::exclusive();
     assert_replays(
-        "v1:0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0:7200be59",
+        "v1:0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0:43aa297a",
         scatter::eager_range(true),
         "eager-k-prefix",
         "not linearizable",
@@ -64,13 +64,17 @@ fn corpus_eager_k_prefix_truncation() {
 }
 
 #[test]
-fn corpus_cleanup_before_tombstone() {
+fn corpus_index_tree_before_wal() {
     let _g = ldbpp_model::exclusive();
+    let cfg = group_commit::Config {
+        index_before_wal: true,
+        ..Default::default()
+    };
     assert_replays(
-        "v1:0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.1.1.1.1.1.1.1.0.0:7e598a3d",
-        scatter::delete_vs_lookup(true),
-        "tombstone-reorder",
-        "not linearizable",
+        "v1:0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.1.1.1.1.1.1.1.1.1.1.1.1.1:5e2db59c",
+        group_commit::two_trees(cfg),
+        "index-before-wal",
+        "without its primary record",
     );
 }
 

@@ -102,6 +102,34 @@ fn group_commit_catches_lost_leader_wakeup() {
     assert_caught(|| group_commit::instance(cfg), "skip-notify", "deadlock");
 }
 
+#[test]
+fn two_tree_commit_sweep_is_clean() {
+    let _g = ldbpp_model::exclusive();
+    let outcome = Explorer::bounded()
+        .explore(&mut || group_commit::two_trees(group_commit::Config::default()));
+    assert_clean(&outcome, "two-tree-commit");
+    println!(
+        "two-tree-commit: {} schedules, exhausted: {}",
+        outcome.stats.schedules, outcome.stats.exhausted
+    );
+}
+
+#[test]
+fn two_tree_commit_catches_index_before_wal() {
+    let _g = ldbpp_model::exclusive();
+    let cfg = group_commit::Config {
+        index_before_wal: true,
+        ..Default::default()
+    };
+    // The index tree's half of a group is visible before the primary's:
+    // the reader's cut finds an entry whose record does not exist yet.
+    assert_caught(
+        || group_commit::two_trees(cfg),
+        "index-before-wal",
+        "without its primary record",
+    );
+}
+
 // ---------------------------------------------------------------------------
 // (b) scatter-gather reads vs. the shared sequence clock
 // ---------------------------------------------------------------------------
@@ -139,21 +167,8 @@ fn eager_range_catches_k_prefix_truncation() {
 #[test]
 fn delete_vs_lookup_sweep_is_clean() {
     let _g = ldbpp_model::exclusive();
-    let outcome = Explorer::bounded().explore(&mut || scatter::delete_vs_lookup(false));
+    let outcome = Explorer::bounded().explore(&mut scatter::delete_vs_lookup);
     assert_clean(&outcome, "delete-vs-lookup");
-}
-
-#[test]
-fn delete_vs_lookup_catches_cleanup_before_tombstone() {
-    let _g = ldbpp_model::exclusive();
-    // PR 8's ordering re-enabled: in the window between the index
-    // cleanup and the primary tombstone, a lookup misses a record the
-    // reader's next point-get still finds — no serial order fits.
-    assert_caught(
-        || scatter::delete_vs_lookup(true),
-        "tombstone-reorder",
-        "not linearizable",
-    );
 }
 
 // ---------------------------------------------------------------------------

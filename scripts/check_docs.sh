@@ -10,7 +10,9 @@
 #      (the networked service layer), §17 (model checking), and §18
 #      (the network failure model), and the README must keep describing
 #      the group-commit write path, the sharded engine, the server
-#      quickstart, the model checker, and running under chaos —
+#      quickstart, the model checker, and running under chaos; DESIGN.md
+#      §11 must keep the single-commit-log contract and its
+#      "index ≡ primary" guarantee → test row —
 #      docs that tests and comments point at may not silently disappear.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -68,6 +70,12 @@ grep -Eq "group[ -]commit" README.md \
     || { echo "README.md: no longer documents the group-commit write path"; exit 1; }
 grep -q "Tuning write concurrency" README.md \
     || { echo "README.md: missing the 'Tuning write concurrency' subsection"; exit 1; }
+grep -q "One commit log per shard" DESIGN.md \
+    || { echo "DESIGN.md: §11 no longer documents the shard's single commit log"; exit 1; }
+grep -q "index ≡ primary at every crash point" DESIGN.md \
+    || { echo "DESIGN.md: missing the 'index ≡ primary' guarantee → test row"; exit 1; }
+grep -q "only\*\* commit log" README.md \
+    || { echo "README.md: no longer says the primary's WAL is the shard's only commit log"; exit 1; }
 grep -q "^## 15\. Shard-per-core" DESIGN.md \
     || { echo "DESIGN.md: missing §15 'Shard-per-core'"; exit 1; }
 grep -q "Sharding: scaling past one engine" README.md \

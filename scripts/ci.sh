@@ -50,7 +50,12 @@
 #  10. repair smoke: build a real on-disk database, corrupt a table,
 #      `ldbpp_tool repair` it (must exit non-zero and quarantine the
 #      damaged file), verify with the `check` binary, and reopen;
-#  11. documentation (`scripts/check_docs.sh`: rustdoc with -D warnings
+#  11. benchmark smoke: `benchmark/run.sh --quick` for each of the four
+#      workloads of BENCHMARK.json (op counts / 20, one repetition);
+#      fails when the oracle rejects a result (`correct: false`) or any
+#      operation failed. No timing is gated here — the driver compares
+#      full runs against the parent commit;
+#  12. documentation (`scripts/check_docs.sh`: rustdoc with -D warnings
 #      plus markdown link check, and grep gates pinning DESIGN.md §14,
 #      §15, §16, §18 + the README's group-commit, sharding, server,
 #      and chaos coverage).
@@ -165,6 +170,15 @@ server_pid=""
 
 echo "== repair smoke: corrupt -> repair -> check -> reopen =="
 ./scripts/repair_smoke.sh
+
+echo "== benchmark smoke: every workload, quick, correct and without a failed operation =="
+for workload in static_load static_query net_mixed durable_put; do
+    summary="$(benchmark/run.sh --quick --workload "$workload" --out "$server_dir/bench" | tail -n 1)"
+    case "$summary" in
+        *'"correct":true,"failed":0,'*) ;;
+        *) echo "benchmark smoke: $workload: $summary"; exit 1 ;;
+    esac
+done
 
 ./scripts/check_docs.sh
 

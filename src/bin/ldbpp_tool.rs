@@ -22,7 +22,12 @@
 //! All commands but `repair` open the database read-mostly (recovery runs
 //! as usual; no writes are issued). `repair` rebuilds the MANIFEST from
 //! whatever is readable on disk, quarantining unreadable files in `lost/`,
-//! then re-opens the result and runs the structural integrity checker.
+//! then re-opens the result and runs the structural integrity checker. A
+//! shard's one commit log also carries its index trees' operations: repair
+//! keeps them out of the primary table and leaves them in the log for the
+//! trees; if the log itself had to be quarantined, reopen through
+//! `SecondaryDb` and run `heal()` / `rebuild_indexes()` as after any
+//! quarantine.
 //! Exit status: 0 when nothing was quarantined and the checker is clean,
 //! 1 otherwise, 2 on usage errors.
 
@@ -160,6 +165,13 @@ fn repair_one(prefix: &str, dir: &str) -> bool {
         println!(
             "{prefix}wal: {} records recovered, {} salvaged past damage ({} bytes dropped)",
             report.wal_records_recovered, report.wal_records_salvaged, report.wal_bytes_dropped
+        );
+    }
+    if report.wal_index_ops_left > 0 {
+        println!(
+            "{prefix}wal: {} index-tree operations kept out of this table and left in the \
+             log; the next open through the database replays them into their trees",
+            report.wal_index_ops_left
         );
     }
     for name in &report.quarantined {

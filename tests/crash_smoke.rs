@@ -3,11 +3,15 @@
 //! A bounded version of the exhaustive harnesses in
 //! `crates/lsm/tests/crash.rs` and `crates/core/tests/crash_secondary.rs`:
 //! one mixed workload per index technique, crashed at a spread of I/O
-//! operation indices, reopened, and checked for primary/secondary
-//! equivalence. Kept deliberately small so the root test suite stays fast;
+//! operation indices in foreground and background mode, reopened, and
+//! checked for primary/secondary equivalence — a record and its index
+//! entries are one log record, so the integrity check must come back with
+//! no dangling index entry, tolerating none. Kept deliberately small so the root test suite stays fast;
 //! the per-crate harnesses do the full per-index, per-mode sweeps.
 
-use leveldbpp::{Document, FaultEnv, IndexKind, MemEnv, SecondaryDb, SecondaryDbOptions, Value};
+use leveldbpp::{
+    CheckCode, Document, FaultEnv, IndexKind, MemEnv, SecondaryDb, SecondaryDbOptions, Value,
+};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -21,8 +25,13 @@ fn doc(city: &str, n: i64) -> Document {
 }
 
 fn opts() -> SecondaryDbOptions {
+    mode_opts(false)
+}
+
+fn mode_opts(background: bool) -> SecondaryDbOptions {
     let mut base = leveldbpp::DbOptions::small();
     base.write_buffer_size = 1024;
+    base.background_work = background;
     SecondaryDbOptions {
         base,
         // CI re-runs this suite with LDBPP_SHARDS=2 to sweep the sharded
@@ -34,12 +43,12 @@ fn opts() -> SecondaryDbOptions {
 
 /// Drive a fixed workload against a fault env, crashing at op `crash_at`;
 /// return the image and the set of acknowledged puts (pk, city).
-fn run(kind: IndexKind, crash_at: u64) -> (Arc<MemEnv>, Vec<(String, String)>) {
+fn run(kind: IndexKind, background: bool, crash_at: u64) -> (Arc<MemEnv>, Vec<(String, String)>) {
     let mem = MemEnv::new();
     let fenv = FaultEnv::new(mem.clone());
     fenv.set_crash_point(crash_at);
     let mut acked = Vec::new();
-    if let Ok(db) = SecondaryDb::open(fenv, "db", opts(), &[(ATTR, kind)]) {
+    if let Ok(db) = SecondaryDb::open(fenv, "db", mode_opts(background), &[(ATTR, kind)]) {
         for i in 0..12i64 {
             let pk = format!("k{i}");
             let city = format!("city{}", i % 3);
@@ -56,6 +65,12 @@ fn run(kind: IndexKind, crash_at: u64) -> (Arc<MemEnv>, Vec<(String, String)>) {
 
 #[test]
 fn crash_recovery_smoke_all_index_kinds() {
+    for background in [false, true] {
+        smoke_all_index_kinds(background);
+    }
+}
+
+fn smoke_all_index_kinds(background: bool) {
     for kind in [
         IndexKind::Embedded,
         IndexKind::EagerStandalone,
@@ -67,7 +82,8 @@ fn crash_recovery_smoke_all_index_kinds() {
         let total = {
             let mem = MemEnv::new();
             let fenv = FaultEnv::new(mem);
-            let db = SecondaryDb::open(fenv.clone(), "db", opts(), &[(ATTR, kind)]).unwrap();
+            let db = SecondaryDb::open(fenv.clone(), "db", mode_opts(background), &[(ATTR, kind)])
+                .unwrap();
             for i in 0..12i64 {
                 db.put(format!("k{i}"), &doc(&format!("city{}", i % 3), i))
                     .unwrap();
@@ -82,11 +98,17 @@ fn crash_recovery_smoke_all_index_kinds() {
         let step = (total / 12).max(1);
         let mut k = 0;
         while k <= total {
-            let (image, acked) = run(kind, k);
+            let (image, acked) = run(kind, background, k);
             let db = SecondaryDb::open(image, "db", opts(), &[(ATTR, kind)])
                 .unwrap_or_else(|e| panic!("{kind:?}: reopen after crash at {k} failed: {e}"));
 
-            // Every acked put is durable...
+            // Index ≡ primary, with no tolerance...
+            let report = db.check_integrity();
+            assert!(
+                !report.has(CheckCode::DanglingIndexEntry) && report.is_clean(),
+                "{kind:?} bg={background}: crash at op {k}:\n{report}"
+            );
+            // ...every acked put is durable...
             for (pk, _) in &acked {
                 assert!(
                     db.get(pk).unwrap().is_some(),

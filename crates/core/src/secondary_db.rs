@@ -1267,13 +1267,7 @@ impl SecondaryDb {
 
     /// Flush every shard's primary memtable and stand-alone index tables.
     pub fn flush(&self) -> Result<()> {
-        for shard in &self.shards {
-            shard.primary.flush()?;
-            for table in shard.primary.trees() {
-                table.flush()?;
-            }
-        }
-        Ok(())
+        self.shards.iter().try_for_each(|s| s.primary.flush())
     }
 
     /// With `background_work` enabled, block until every shard's primary
@@ -1281,13 +1275,9 @@ impl SecondaryDb {
     /// or compaction (no-op otherwise). Call before measuring tree shapes
     /// or byte counts so the numbers describe a settled database.
     pub fn wait_for_background_idle(&self) -> Result<()> {
-        for shard in &self.shards {
-            shard.primary.wait_for_background_idle()?;
-            for table in shard.primary.trees() {
-                table.wait_for_background_idle()?;
-            }
-        }
-        Ok(())
+        self.shards
+            .iter()
+            .try_for_each(|s| s.primary.wait_for_background_idle())
     }
 
     /// Bytes of live SSTables across every shard's primary table.

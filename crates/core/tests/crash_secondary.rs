@@ -545,6 +545,46 @@ fn regression_crash_inside_put_never_loses_index_entry() {
     }
 }
 
+/// Pinned regression: the index list may change while index operations
+/// sit unflushed in the log.
+///
+/// The log numbered the shard's index trees by their position in the list
+/// of the open that wrote it, and the replaying open read the numbers
+/// against its *own* list: declaring a second index in front of the first
+/// sent every unflushed posting to the wrong tree — 20 acknowledged
+/// records, none of them LOOKUPable, for good. A log file now names the
+/// trees its numbers stand for.
+#[test]
+fn regression_unflushed_index_operations_survive_a_changed_index_list() {
+    let env = MemEnv::new();
+    let open = |specs: &[(&str, IndexKind)]| {
+        SecondaryDb::open(env.clone(), "db", opts(false.into()), specs).unwrap()
+    };
+    let (lazy, composite) = (IndexKind::LazyStandalone, IndexKind::CompositeStandalone);
+    let db = open(&[(ATTR, lazy)]);
+    for i in 0..20 {
+        db.put(format!("k{i:02}"), &doc(i, i)).unwrap();
+    }
+    drop(db); // a crash: nothing was flushed
+    for specs in [
+        [("Salt", composite), (ATTR, lazy)], // extended in front
+        [(ATTR, lazy), ("Salt", composite)], // reordered
+    ] {
+        let db = open(&specs);
+        db.backfill_indexes().unwrap();
+        let by_color: usize = (0..4)
+            .map(|c| db.lookup(ATTR, &color(c), None).unwrap().len())
+            .sum();
+        assert_eq!(by_color, 20, "{specs:?}");
+        let by_salt = db.range_lookup("Salt", &Value::Int(0), &Value::Int(19), None);
+        assert_eq!(by_salt.unwrap().len(), 20, "{specs:?}");
+        let report = db.check_integrity();
+        assert!(report.is_clean(), "{specs:?}: {:?}", report.violations);
+        // Leave the next open a log that numbers the trees this way round.
+        db.put("k00", &doc(0, 0)).unwrap();
+    }
+}
+
 /// Pinned regression: a crash cannot split a DELETE — the tombstone and the
 /// index cleanup are one log record — and never resurrects a document.
 #[test]

@@ -722,6 +722,32 @@ fn one_sync_per_put_with_two_standalone_indexes() {
 }
 
 #[test]
+fn a_sparse_index_does_not_pin_the_log_without_bound() {
+    // One record in twenty thousand has the indexed attribute: the index
+    // tree's memtable never fills, and every log file since that record
+    // waits for the tree. Past four files per tree of the shard, the tree
+    // is flushed for the log's sake.
+    let env = ldbpp_lsm::env::MemEnv::new();
+    let opts = ldbpp_core::SecondaryDbOptions {
+        base: tiny_opts(),
+        ..Default::default()
+    };
+    let specs = [("Rare", IndexKind::CompositeStandalone)];
+    let db = SecondaryDb::open(env.clone(), "db", opts, &specs).unwrap();
+    let mut rare = tweet(1, 1, "x");
+    rare.set("Rare", Value::Int(7));
+    db.put("rare", &rare).unwrap();
+    for i in 0..20_000 {
+        db.put(format!("t{i:05}"), &tweet(i % 9, i as i64, "hello"))
+            .unwrap();
+    }
+    let logs = ldbpp_lsm::env::Env::list(&*env, "db").unwrap();
+    let logs = logs.iter().filter(|f| f.ends_with(".log")).count();
+    assert!(logs <= 4 * 2 + 2, "{logs} log files");
+    assert_eq!(db.lookup("Rare", &Value::Int(7), None).unwrap().len(), 1);
+}
+
+#[test]
 fn foreground_counters_are_deterministic() {
     // Two runs of one seeded stream: identical counters on both sides —
     // which is what lets the paper's cumulative-I/O figures reproduce.

@@ -39,7 +39,7 @@ use crate::write_batch::{self, BatchOp, WriteBatch};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use ldbpp_common::{Error, Result};
 use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::ops::ControlFlow;
 use std::sync::{Arc, Weak};
 use std::thread;
@@ -162,15 +162,9 @@ struct PendingFlush {
     boundary_seq: u64,
 }
 
-/// What the trees of one shard share: a `Db` that owns a commit log, and
-/// every tree opened through [`Db::open_with_trees`] to be fed by it. A
-/// plain [`Db::open`] is a shard of one.
-///
-/// One published sequence for all of them is what makes a commit atomic
-/// to readers: the leader inserts a group's operations into every tree's
-/// memtable and only then stores `last_seq`, so at any loaded sequence a
-/// reader finds an index entry exactly when it finds the primary record
-/// the entry was derived from.
+/// What a `Db` that owns a commit log shares with the trees it feeds
+/// ([`Db::open_with_trees`]): one published sequence, so that a reader
+/// finds an index entry exactly when it finds the record it points to.
 struct ShardLog {
     /// The newest sequence visible to readers of any tree. Stored with
     /// `Release` *after* the memtable inserts, so a reader that loads it
@@ -181,12 +175,6 @@ struct ShardLog {
     /// at runtime (`check` builds only; see [`crate::vclock`]).
     #[cfg(feature = "check")]
     vc: crate::vclock::Domain,
-    /// Closed log files still on disk, as `(path, largest sequence in the
-    /// file)`. A file goes when every tree has flushed through its largest
-    /// sequence ([`DbCore::gc_logs`]).
-    closed: Mutex<Vec<(String, u64)>>,
-    /// Every tree of the shard.
-    trees: Mutex<Vec<Weak<DbCore>>>,
 }
 
 impl ShardLog {
@@ -195,8 +183,6 @@ impl ShardLog {
             last_seq: AtomicU64::new(0),
             #[cfg(feature = "check")]
             vc: crate::vclock::Domain::new(0),
-            closed: Mutex::new(Vec::new()),
-            trees: Mutex::new(Vec::new()),
         })
     }
 }
@@ -207,11 +193,9 @@ pub trait DeriveOps: Send + Sync {
     /// Called by the group-commit leader once per tree-0 operation of the
     /// batch, after `op`'s sequence number `seq` is allocated and before
     /// anything is logged. Push the implied operations (each naming its
-    /// tree, `1..=trees`) onto `out`; they are logged in `op`'s record
-    /// and inserted under `op`'s sequence number. Read the shard through
-    /// `view` only: it shows every earlier operation of the group, which
-    /// the tables themselves do not yet hold. An error fails the group
-    /// with nothing written.
+    /// tree, `1..=trees`) onto `out`; they are logged and inserted with
+    /// `op`, under its sequence number. Read the shard through `view`
+    /// only. An error fails the group with nothing written.
     fn derive(
         &self,
         view: &CommitView<'_>,
@@ -222,23 +206,23 @@ pub trait DeriveOps: Send + Sync {
 }
 
 /// Point reads of a shard's trees as a commit in progress must see them:
-/// the published state overlaid with the operations the group has
-/// produced so far.
+/// the published state overlaid with the group's earlier operations, which
+/// the memtables do not yet hold.
 pub struct CommitView<'a> {
     core: &'a DbCore,
-    /// `(tree, key)` → value (`None`: deleted) of operations not yet in
-    /// the memtables. Merge operands are not folded in: no deriver reads
-    /// a key it merges into.
-    pending: HashMap<(u32, Vec<u8>), Option<Vec<u8>>>,
+    earlier: &'a [BatchOp],
 }
 
 impl CommitView<'_> {
     /// The newest value of `key` in `tree` (0: the log-owning table).
+    /// Pending merge operands are not folded in: no deriver reads a key
+    /// it merges into.
     pub fn get(&self, tree: u32, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        if !self.pending.is_empty() {
-            if let Some(pending) = self.pending.get(&(tree, key.to_vec())) {
-                return Ok(pending.clone());
-            }
+        let mut pending = self.earlier.iter().rev();
+        if let Some(op) =
+            pending.find(|op| op.tree == tree && op.key == key && op.vtype != ValueType::Merge)
+        {
+            return Ok((op.vtype == ValueType::Value).then(|| op.value.clone()));
         }
         match tree.checked_sub(1) {
             None => self.core.get_resolved(key, None),
@@ -248,15 +232,6 @@ impl CommitView<'_> {
             },
         }
     }
-
-    fn note(&mut self, op: &BatchOp) {
-        let value = match op.vtype {
-            ValueType::Value => Some(op.value.clone()),
-            ValueType::Deletion => None,
-            ValueType::Merge => return,
-        };
-        self.pending.insert((op.tree, op.key.clone()), value);
-    }
 }
 
 /// State that only writers and the maintenance path touch.
@@ -265,6 +240,9 @@ struct DbInner {
     versions: VersionSet,
     mem_generation: u64,
     pending_flush: Option<PendingFlush>,
+    /// Closed log files still on disk, oldest first, as `(number, largest
+    /// sequence in the file)`; see [`DbCore::gc_logs`].
+    closed_logs: Vec<(u64, u64)>,
 }
 
 enum WorkerMsg {
@@ -321,12 +299,11 @@ struct WriteOutcome {
 ///
 /// Lock order (outermost first): `maintenance` → `inner` → {`writers`,
 /// `read` → memtable latch} → leaves (`tables`, `pinned`, `bg_error`,
-/// `pending_gc`, `live_versions`, `work_tx`, the shard's `closed` and
-/// `trees`, per-request [`WriteRequest::state`]). Never acquire
-/// leftwards while holding a lock to the right. Across the trees of a
-/// shard the log owner comes first: its commit leader takes a fed
-/// tree's `maintenance` and `inner` while holding its own, and a fed
-/// tree never takes the owner's. The write path adds two disciplines on top
+/// `pending_gc`, `live_versions`, `work_tx`, per-request
+/// [`WriteRequest::state`]). Never acquire leftwards while holding a
+/// lock to the right. Across the trees of a shard the log owner comes
+/// first: it takes a fed tree's `maintenance` and `inner` while holding
+/// its own, never the reverse. The write path adds two disciplines on top
 /// (DESIGN.md §14): `writers` is only ever held briefly (enqueue, group
 /// collection, group pop — never across I/O or a condvar wait), and a
 /// request's `state` is never held while acquiring any other lock.
@@ -340,7 +317,7 @@ struct DbCore {
     /// The published read snapshot; swapped atomically on freeze, flush
     /// install and compaction install (always while holding `inner`).
     read: RwLock<Arc<ReadState>>,
-    /// The published sequence and the closed log files of the shard.
+    /// The published sequence of the shard.
     shard: Arc<ShardLog>,
     /// 0 for a table that owns its commit log; `i` for the `i`-th tree
     /// fed by another table's log (never written directly).
@@ -418,20 +395,21 @@ impl Db {
     ///
     /// Each fed tree is a `Db` of its own — MANIFEST, memtable and
     /// `write_buffer_size` trigger, levels, compaction, [`IoStats`] — but
-    /// has no log and no sequence numbers of its own and refuses direct
-    /// writes: it receives the operations that batches written to this
-    /// table carry for it ([`BatchOp::tree`]) or imply for it
-    /// ([`Db::write_derived`]). One batch is one WAL record and at most one
-    /// fsync however many trees it touches, and becomes visible in all of
-    /// them at once.
+    /// has no log and refuses direct writes: it receives the operations
+    /// that batches written to this table carry for it ([`BatchOp::tree`])
+    /// or imply for it ([`Db::write_derived`]). One batch is one WAL record
+    /// and at most one fsync however many trees it touches, and becomes
+    /// visible in all of them at once.
     ///
-    /// Recovery replays the one log into every tree. Each tree records in
-    /// its own MANIFEST the sequence it has flushed through and takes only
-    /// operations above it, so nothing is applied twice whatever the order
-    /// of flushes and crashes; a log file is deleted once every tree has
-    /// flushed through its last operation. A directory in `trees` may hold
-    /// a WAL of its own from a build in which every tree logged for
-    /// itself: it is replayed into the tree once, here, and deleted.
+    /// Recovery replays the one log into every tree. A log file names the
+    /// trees it was written for (by the last component of their directory),
+    /// so `trees` may change order or grow between opens, and is kept while
+    /// it holds operations of a tree this open was not given. Each tree
+    /// records in its own MANIFEST the sequence it has flushed through and
+    /// takes only operations above it, so nothing is applied twice; a file
+    /// goes once every tree has flushed through its last operation. A WAL
+    /// in a tree's own directory (from a build in which every tree logged
+    /// for itself) is replayed into the tree once, here, and deleted.
     pub fn open_with_trees(
         env: Arc<dyn Env>,
         name: &str,
@@ -487,16 +465,15 @@ impl Db {
         IoStats::add(&stats.manifest_replays, versions.recovered_edits);
 
         // Replay the WAL files. Into this table go the records of files at
-        // or after the recorded log number; a file below it is still on
-        // disk because a fed tree had not flushed through it — or because
-        // an open without the trees could not tell. Into a fed tree go the
-        // operations above what it has flushed. Flushes of this table
+        // or after the recorded log number (a file below it is still on
+        // disk for a fed tree's sake); into a fed tree, the operations
+        // above what it has flushed. Flushes of this table
         // forced by replay accumulate into `recovery_edit`, which is logged
         // once — together with the fresh WAL's number — below, so that a
         // crash at any point during recovery leaves the MANIFEST unchanged
         // and the replay idempotent (see `flush_memtable_impl`).
         let mut recovery_edit = VersionEdit::default();
-        let mut replayed_logs: Vec<(String, u64)> = Vec::new();
+        let mut closed_logs: Vec<(u64, u64)> = Vec::new();
         let mut drained = false;
         if preexisting {
             let mut log_numbers: Vec<u64> = env
@@ -508,11 +485,12 @@ impl Db {
             for number in log_numbers {
                 let own = number >= versions.log_number;
                 drained |= own;
-                let path = log_file_name(name, number);
-                let data = env.read_all(&path)?;
+                let data = env.read_all(&log_file_name(name, number))?;
                 let mut max_seq = 0u64;
-                // Operations of a tree this open was not given: the file
-                // must outlive it.
+                // The trees the file's operation tags number, and whether
+                // it holds operations of one this open was not given (the
+                // file must then outlive the open).
+                let mut route: Vec<Option<&Arc<Db>>> = Vec::new();
                 let mut foreign = false;
                 // Paranoid mode aborts recovery at the first corrupt record;
                 // permissive mode resynchronizes at the next block boundary
@@ -523,6 +501,11 @@ impl Db {
                     LogReader::new_salvaging(&data)
                 };
                 while let Some(record) = reader.read_record()? {
+                    if let Some(names) = write_batch::decode_tree_names(&record) {
+                        let given = |n| trees.iter().find(|t| base_name(t.name()).as_bytes() == n);
+                        route = names.iter().map(|n| given(n.as_slice())).collect();
+                        continue;
+                    }
                     let decoded = match WriteBatch::decode(&record) {
                         Ok(d) => d,
                         // A record can pass its CRC yet fail to decode (e.g.
@@ -543,7 +526,7 @@ impl Db {
                         match op.tree.checked_sub(1) {
                             None if own => mem.add(seq, op.vtype, &op.key, &op.value),
                             None => {}
-                            Some(i) => match trees.get(i as usize) {
+                            Some(i) => match route.get(i as usize).copied().flatten() {
                                 Some(tree) => tree.core.replay_op(seq, op)?,
                                 None => foreign = true,
                             },
@@ -566,7 +549,7 @@ impl Db {
                 IoStats::add(&stats.wal_records_salvaged, reader.records_salvaged());
                 IoStats::add(&stats.wal_bytes_dropped, reader.bytes_dropped());
                 if !foreign {
-                    replayed_logs.push((path, max_seq));
+                    closed_logs.push((number, max_seq));
                 }
             }
             if !mem.is_empty() {
@@ -594,9 +577,8 @@ impl Db {
         // to "recovered files + new WAL" with no intermediate state.
         let wal = if opts.wal_enabled {
             let log_number = versions.new_file_number();
-            let wal = LogWriter::new(env.new_writable(&log_file_name(name, log_number))?);
             recovery_edit.log_number = Some(log_number);
-            Some(wal)
+            Some(start_log(&env, name, log_number, &trees)?)
         } else {
             // No successor file to name: retire the replayed ones by
             // number, or the next open would apply them a second time.
@@ -636,7 +618,6 @@ impl Db {
         #[cfg(feature = "check")]
         mem.set_vc_domain(shard.vc.id());
         let flushed_seq = versions.flushed_seq;
-        shard.closed.lock().extend(replayed_logs);
         let core = Arc::new(DbCore {
             name: name.to_string(),
             opts,
@@ -648,6 +629,7 @@ impl Db {
                 versions,
                 mem_generation,
                 pending_flush: None,
+                closed_logs,
             }),
             read: RwLock::new(Arc::new(ReadState {
                 mem: Arc::new(RwLock::new(mem)),
@@ -669,11 +651,8 @@ impl Db {
             work_tx: Mutex::new(None),
             writers: Mutex::new(VecDeque::new()),
         });
-        core.shard.trees.lock().push(Arc::downgrade(&core));
         core.remove_obsolete_files();
-        if tree_id == 0 {
-            core.gc_logs();
-        }
+        core.gc_logs(&mut core.inner.lock())?;
 
         let worker = if background {
             let (tx, rx) = unbounded();
@@ -818,11 +797,10 @@ impl Db {
     }
 
     /// [`Db::write`], with the operations `batch` implies for the trees
-    /// this table commits for ([`Db::open_with_trees`]) derived inside the
-    /// commit: the group leader hands each tree-0 operation of the batch
-    /// to `derive` once its sequence number is known, and logs, inserts
-    /// and publishes what `derive` returns together with it. What
-    /// `derive` reads and what it writes are therefore serialised with
+    /// this table commits for derived inside the commit: the group leader
+    /// hands each tree-0 operation to `derive` once its sequence number is
+    /// known, and logs, inserts and publishes what `derive` returns with
+    /// it. What `derive` reads and writes is therefore serialised with
     /// every other commit of the shard — a read-modify-write of an index
     /// entry cannot lose an update, and an index entry carries the
     /// sequence number of the very record it points to.
@@ -836,7 +814,7 @@ impl Db {
     pub fn commit_view(&self) -> CommitView<'_> {
         CommitView {
             core: &self.core,
-            pending: HashMap::new(),
+            earlier: &[],
         }
     }
 
@@ -880,12 +858,17 @@ impl Db {
         core.lead_group(&req)
     }
 
-    /// Flush all in-memory entries to L0 (then run any due compactions,
-    /// unless `auto_compact` is off).
+    /// Flush all in-memory entries, of this table and of the trees it
+    /// commits for, to L0 (then run any due compactions, unless
+    /// `auto_compact` is off).
     pub fn flush(&self) -> Result<()> {
+        for tree in &self.core.trees {
+            tree.flush()?;
+        }
         self.core.check_fatal()?;
         let _maintenance = self.core.maintenance.lock();
         self.core.flush_all_locked()?;
+        self.core.gc_logs(&mut self.core.inner.lock())?;
         if self.core.opts.auto_compact {
             self.core.run_compactions()?;
         }
@@ -961,6 +944,9 @@ impl Db {
     /// compaction (no-op in foreground mode). Returns any error the worker
     /// hit. Useful in tests and benchmarks that want a settled tree.
     pub fn wait_for_background_idle(&self) -> Result<()> {
+        for tree in &self.core.trees {
+            tree.wait_for_background_idle()?;
+        }
         if !self.core.opts.background_work {
             return Ok(());
         }
@@ -1608,7 +1594,7 @@ impl DbCore {
         if self.opts.background_work {
             self.maybe_slowdown();
             let mut inner = self.inner.lock();
-            if let Err(e) = self.make_room_bg(&mut inner) {
+            if let Err(e) = self.make_room_bg(&mut inner, false) {
                 // Make-room failure fails only the leader (LevelDB's
                 // contract): queued followers may well succeed once the
                 // backlog clears, so they get a fresh leader, not our
@@ -1618,7 +1604,7 @@ impl DbCore {
             self.append_group(&mut inner, own)
         } else {
             let _maintenance = self.maintenance.lock();
-            if let Err(e) = self.make_room_sync() {
+            if let Err(e) = self.make_room_sync(false) {
                 return (vec![Arc::clone(own)], Err(e));
             }
             let mut inner = self.inner.lock();
@@ -1687,7 +1673,7 @@ impl DbCore {
             .filter(|tree| tree_bytes[*tree] > 0)
             .collect();
         for tree in &fed {
-            self.trees[tree - 1].core.make_room()?;
+            self.trees[tree - 1].core.make_room(false)?;
         }
         let index_first = model_bugs::enabled(Fault::IndexBeforeWal);
         if index_first {
@@ -1750,42 +1736,32 @@ impl DbCore {
         group: &[Arc<WriteRequest>],
         start_seq: u64,
     ) -> Result<(Vec<BatchOp>, Vec<u8>, Vec<u64>)> {
-        let mut view = CommitView {
-            core: self,
-            pending: HashMap::new(),
-        };
-        // Only operations a later derivation can read need noting.
-        let last_deriver = group.iter().rposition(|r| r.derive.is_some());
         let mut ops: Vec<BatchOp> = Vec::new();
         let mut seq = start_seq;
-        for (i, req) in group.iter().enumerate() {
-            let read_later =
-                last_deriver.is_some_and(|last| i < last || (i == last && req.count > 1));
+        for req in group {
             for op in write_batch::decode_ops(&req.body, req.count)? {
-                let at = ops.len();
+                let mut derived = Vec::new();
+                if let (Some(derive), 0) = (&req.derive, op.tree) {
+                    let view = CommitView {
+                        core: self,
+                        earlier: &ops,
+                    };
+                    derive.derive(&view, seq, &op, &mut derived)?;
+                }
+                // A derived operation shares its source's sequence number,
+                // so it cannot share its tree.
+                let unknown = |op: &BatchOp| op.tree as usize > self.trees.len();
+                if unknown(&op) || derived.iter().any(|d| d.tree == 0 || unknown(d)) {
+                    return Err(Error::invalid(format!(
+                        "operation for a tree outside this shard of {}",
+                        self.trees.len() + 1
+                    )));
+                }
                 ops.push(op);
-                if let (Some(derive), 0) = (&req.derive, ops[at].tree) {
-                    let mut derived = Vec::new();
-                    derive.derive(&view, seq, &ops[at], &mut derived)?;
-                    ops.extend(derived.into_iter().map(|mut op| {
-                        op.derived = true;
-                        op
-                    }));
-                }
-                for op in &ops[at..] {
-                    // A derived operation shares its source's sequence
-                    // number, so it cannot share its tree.
-                    if op.tree as usize > self.trees.len() || (op.derived && op.tree == 0) {
-                        return Err(Error::invalid(format!(
-                            "operation for tree {} of a shard of {}",
-                            op.tree,
-                            self.trees.len() + 1
-                        )));
-                    }
-                    if read_later {
-                        view.note(op);
-                    }
-                }
+                ops.extend(derived.into_iter().map(|mut op| {
+                    op.derived = true;
+                    op
+                }));
                 seq += 1;
             }
         }
@@ -1836,21 +1812,22 @@ impl DbCore {
         if seq <= self.flushed_seq.load(Ordering::Acquire) {
             return Ok(());
         }
-        self.make_room()?;
+        self.make_room(false)?;
         self.insert(&mut self.inner.lock(), std::iter::once((seq, op)));
         Ok(())
     }
 
     /// Make room in this fed tree's memtable for a commit of the shard,
-    /// by the tree's own `write_buffer_size` trigger and in its own mode.
-    /// Caller holds none of this tree's locks.
-    fn make_room(&self) -> Result<()> {
+    /// by the tree's own `write_buffer_size` trigger — or, with `force`,
+    /// whatever it holds — and in its own mode. Caller holds none of this
+    /// tree's locks.
+    fn make_room(&self, force: bool) -> Result<()> {
         if self.opts.background_work {
             self.maybe_slowdown();
-            self.make_room_bg(&mut self.inner.lock())
+            self.make_room_bg(&mut self.inner.lock(), force)
         } else {
             let _maintenance = self.maintenance.lock();
-            self.make_room_sync()
+            self.make_room_sync(force)
         }
     }
 
@@ -1878,30 +1855,30 @@ impl DbCore {
         }
     }
 
-    /// Log file `number` of this table has been rotated out; `max_seq` is
-    /// the last sequence written to it.
-    fn close_log(&self, number: u64, max_seq: u64) {
-        self.shard
-            .closed
-            .lock()
-            .push((log_file_name(&self.name, number), max_seq));
-    }
-
     /// Delete the closed log files no tree of the shard needs any more.
-    fn gc_logs(&self) {
-        let trees: Vec<Arc<DbCore>> = {
-            let mut trees = self.shard.trees.lock();
-            trees.retain(|t| t.strong_count() > 0);
-            trees.iter().filter_map(Weak::upgrade).collect()
-        };
-        let durable = trees.iter().map(|t| t.durable_through()).min();
-        self.shard.closed.lock().retain(|(path, max_seq)| {
-            if durable.is_some_and(|d| d < *max_seq) {
+    /// A tree that fills slowly must not hold them without bound: past
+    /// four per tree (RocksDB's `max_total_wal_size` default is four times
+    /// the memtable budget) the trees the oldest file waits for flush what
+    /// they have. Caller holds `inner`.
+    fn gc_logs(&self, inner: &mut DbInner) -> Result<()> {
+        if inner.closed_logs.len() > 4 * (self.trees.len() + 1) {
+            let oldest = inner.closed_logs[0].1;
+            for tree in &self.trees {
+                if tree.core.durable_through() < oldest {
+                    tree.core.make_room(true)?;
+                }
+            }
+        }
+        let trees = self.trees.iter().map(|t| t.core.durable_through());
+        let durable = trees.fold(self.durable_through(), u64::min);
+        inner.closed_logs.retain(|(number, max_seq)| {
+            if durable < *max_seq {
                 return true;
             }
-            let _ = self.env.remove(path);
+            let _ = self.env.remove(&log_file_name(&self.name, *number));
             false
         });
+        Ok(())
     }
 
     /// Pop the group from the queue, hand leadership to the next queued
@@ -1954,11 +1931,11 @@ impl DbCore {
 
     /// Foreground room-making: flush + compact inline, exactly the seed
     /// engine's synchronous behaviour. Caller holds `maintenance`.
-    fn make_room_sync(&self) -> Result<()> {
+    fn make_room_sync(&self, force: bool) -> Result<()> {
         let full = {
             let rs = self.read_state();
             let bytes = rs.mem.read().approximate_bytes();
-            bytes >= self.opts.write_buffer_size
+            bytes >= self.opts.write_buffer_size || force
         };
         if full {
             {
@@ -1989,11 +1966,14 @@ impl DbCore {
     /// worker, stalling only while a previous freeze is still unflushed or
     /// L0 is at the hard trigger. Caller holds `inner` (released while
     /// waiting).
-    fn make_room_bg(&self, inner: &mut MutexGuard<'_, DbInner>) -> Result<()> {
+    fn make_room_bg(&self, inner: &mut MutexGuard<'_, DbInner>, force: bool) -> Result<()> {
         loop {
             self.check_bg_error()?;
             let rs = self.read_state();
-            if rs.mem.read().approximate_bytes() < self.opts.write_buffer_size {
+            let bytes = rs.mem.read().approximate_bytes();
+            // Forced, wait until whatever there is has reached L0.
+            let pending = force && (bytes > 0 || rs.imm.is_some());
+            if bytes < self.opts.write_buffer_size && !pending {
                 return Ok(());
             }
             if rs.imm.is_some() {
@@ -2009,7 +1989,9 @@ impl DbCore {
                 continue;
             }
             self.swap_memtable(inner)?;
-            return Ok(());
+            if !force {
+                return Ok(());
+            }
         }
     }
 
@@ -2019,9 +2001,10 @@ impl DbCore {
         let pending = if self.opts.wal_enabled {
             let old_log = inner.versions.log_number;
             let number = inner.versions.new_file_number();
-            let wal = LogWriter::new(self.env.new_writable(&log_file_name(&self.name, number))?);
-            inner.wal = Some(wal);
-            self.close_log(old_log, inner.versions.last_sequence);
+            inner.wal = Some(start_log(&self.env, &self.name, number, &self.trees)?);
+            inner
+                .closed_logs
+                .push((old_log, inner.versions.last_sequence));
             PendingFlush {
                 new_log: Some(number),
                 boundary_seq: inner.versions.last_sequence,
@@ -2053,8 +2036,10 @@ impl DbCore {
         let old_log = inner.versions.log_number;
         let new_wal = if self.opts.wal_enabled {
             let number = inner.versions.new_file_number();
-            let wal = LogWriter::new(self.env.new_writable(&log_file_name(&self.name, number))?);
-            Some((number, wal))
+            Some((
+                number,
+                start_log(&self.env, &self.name, number, &self.trees)?,
+            ))
         } else {
             None
         };
@@ -2091,10 +2076,11 @@ impl DbCore {
         self.flushed_seq
             .store(inner.versions.last_sequence, Ordering::Release);
         if self.opts.wal_enabled {
-            self.close_log(old_log, inner.versions.last_sequence);
+            inner
+                .closed_logs
+                .push((old_log, inner.versions.last_sequence));
         }
-        self.gc_logs();
-        Ok(())
+        self.gc_logs(inner)
     }
 
     /// Background flush of the frozen memtable, if any. The table is built
@@ -2145,10 +2131,10 @@ impl DbCore {
             self.flushed_seq.store(p.boundary_seq, Ordering::Release);
         }
         inner.pending_flush = None;
+        let released = self.gc_logs(&mut inner);
         drop(inner);
-        self.gc_logs();
         self.work_cond.notify_all();
-        Ok(true)
+        released.map(|()| true)
     }
 
     /// Flush everything in memory (frozen, then active) to L0. Caller
@@ -2505,6 +2491,24 @@ impl TableProvider for DbCore {
     fn open_table(&self, meta: &FileMetaData) -> Result<Arc<Table>> {
         DbCore::open_table(self, meta)
     }
+}
+
+/// The last component of a directory name: what a tree is called in the
+/// log (a database keeps its logs when its parent directory moves).
+fn base_name(name: &str) -> &str {
+    name.rsplit('/').next().unwrap_or(name)
+}
+
+/// Create log file `number` of the table at `name`. A log that commits for
+/// other trees opens by naming them ([`write_batch::encode_tree_names`]);
+/// that record is no operation and is charged to no tree's counters.
+fn start_log(env: &Arc<dyn Env>, name: &str, number: u64, trees: &[Arc<Db>]) -> Result<LogWriter> {
+    let mut wal = LogWriter::new(env.new_writable(&log_file_name(name, number))?);
+    if !trees.is_empty() {
+        let names = trees.iter().map(|t| base_name(t.name()));
+        wal.add_record(&write_batch::encode_tree_names(names))?;
+    }
+    Ok(wal)
 }
 
 /// Background worker: waits for kicks, then flushes the frozen memtable

@@ -243,6 +243,9 @@ pub fn repair_db(env: &Arc<dyn Env>, dbname: &str, opts: &DbOptions) -> Result<R
         let mut wal_max_seq = 0u64;
         let mut index_ops = 0u64;
         while let Some(record) = reader.read_record()? {
+            if write_batch::decode_tree_names(&record).is_some() {
+                continue; // the file's list of index trees: no operation
+            }
             let Ok((seq, ops)) = WriteBatch::decode(&record) else {
                 decode_failures += 1;
                 report.wal_bytes_dropped += record.len() as u64;

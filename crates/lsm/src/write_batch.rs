@@ -8,9 +8,10 @@
 //! A shard's commit log carries the operations of several LSM trees — the
 //! primary table (tree 0) and one tree per stand-alone index. An operation
 //! for tree `t > 0` sets `TREE_BIT` in its type byte and is followed by
-//! `varint32(t)`; a tree-0 operation is encoded exactly as before, so a
-//! batch that touches no index tree is byte-identical to the pre-tag
-//! format. Operations the group-commit leader *derives* from a primary
+//! `varint32(t)`, the tree's position in the list its log file opens with
+//! (`encode_tree_names`); a tree-0 operation is encoded exactly as
+//! before, so a batch that touches no index tree is byte-identical to the
+//! pre-tag format. Operations the group-commit leader *derives* from a primary
 //! operation additionally set `DERIVED_BIT`: they consume no sequence
 //! number of their own and share the one of the operation they follow.
 
@@ -171,6 +172,34 @@ pub(crate) fn payload_header(start_seq: u64, count: u32) -> Vec<u8> {
     put_fixed64(&mut payload, start_seq);
     put_fixed32(&mut payload, count);
     payload
+}
+
+/// The record that opens a log file which carries other trees' operations:
+/// a zeroed header (no batch has a count of 0), then the name of tree 1,
+/// of tree 2, … The numbers in operation tags are positions in *this*
+/// list and mean nothing outside the file, so a shard reopened with its
+/// trees reordered or extended still routes each operation to its tree.
+pub(crate) fn encode_tree_names<'a>(names: impl Iterator<Item = &'a str>) -> Vec<u8> {
+    let mut payload = vec![0u8; HEADER];
+    for name in names {
+        put_length_prefixed(&mut payload, name.as_bytes());
+    }
+    payload
+}
+
+/// The inverse of [`encode_tree_names`]; `None` for any other record.
+pub(crate) fn decode_tree_names(payload: &[u8]) -> Option<Vec<Vec<u8>>> {
+    if payload.len() <= HEADER || payload[..HEADER] != [0u8; HEADER] {
+        return None;
+    }
+    let mut names = Vec::new();
+    let mut rest = &payload[HEADER..];
+    while !rest.is_empty() {
+        let (name, n) = get_length_prefixed(rest).ok()?;
+        names.push(name.to_vec());
+        rest = &rest[n..];
+    }
+    Some(names)
 }
 
 /// Decode `count` operations from a headerless operation-body slice (the
@@ -434,6 +463,15 @@ mod tests {
                 (&want.key, &want.value, want.vtype)
             );
         }
+        // The list a log file opens with decodes as no batch, and no
+        // batch as a list.
+        let names = encode_tree_names(["db_idx_UserID", "db_idx_Time"].into_iter());
+        assert!(WriteBatch::decode(&names).is_err());
+        assert_eq!(
+            decode_tree_names(&names).unwrap(),
+            [b"db_idx_UserID".to_vec(), b"db_idx_Time".to_vec()]
+        );
+        assert_eq!(decode_tree_names(&payload), None);
         // A record cannot open with a derived op: there is nothing to
         // share a sequence with.
         let mut bad = payload_header(1, 1);

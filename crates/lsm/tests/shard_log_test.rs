@@ -186,6 +186,15 @@ fn derived_operations_see_their_group_and_share_their_sources_sequence() {
     }
 }
 
+/// Primary-only writes of more than one `write_buffer_size`: the primary's
+/// memtable fills, flushes and rotates the log; no fed tree is touched.
+fn pad(db: &Db, round: usize) {
+    for i in 0..8 {
+        db.put(format!("pad{round}-{i}").as_bytes(), &[0u8; 400])
+            .unwrap();
+    }
+}
+
 #[test]
 fn a_log_file_outlives_every_tree_that_still_needs_it() {
     let env = MemEnv::new();
@@ -195,9 +204,9 @@ fn a_log_file_outlives_every_tree_that_still_needs_it() {
     }
     let before = log_files(&env, PRIMARY);
     assert_eq!(before.len(), 1);
-    // The primary's flush rotates the log, but the fed tree still has the
-    // old file's operations in memory only.
-    db.flush().unwrap();
+    // The primary rotates the log, but the fed tree still has the old
+    // file's operations in memory only.
+    pad(&db, 0);
     let after_primary = log_files(&env, PRIMARY);
     assert_eq!(after_primary.len(), 2, "{after_primary:?}");
     assert!(after_primary.contains(&before[0]));
@@ -218,15 +227,85 @@ fn a_log_file_outlives_every_tree_that_still_needs_it() {
     for i in 5..9 {
         write(&db, i);
     }
-    db.flush().unwrap();
+    pad(&db, 1);
     assert_eq!(log_files(&env, PRIMARY).len(), 2);
-    db.trees()[0].flush().unwrap();
+    db.flush().unwrap();
     assert_eq!(
         log_files(&env, PRIMARY).len(),
         1,
-        "the fed tree's flush releases the rotated file"
+        "a flush of the shard releases the rotated file"
     );
     assert_holds_exactly(&db, 9, "live");
+}
+
+#[test]
+fn a_slow_tree_does_not_hold_log_files_without_bound() {
+    for background_work in [false, true] {
+        let env = MemEnv::new();
+        let with = |o: DbOptions| DbOptions {
+            background_work,
+            ..o
+        };
+        let trees = [(TREE.to_string(), with(tree_opts()))];
+        let db = Db::open_with_trees(env.clone(), PRIMARY, with(opts()), &trees).unwrap();
+        // One operation in the fed tree, then primary-only traffic: the
+        // tree's memtable never fills, and every log file since waits for it.
+        write(&db, 0);
+        let mut most = 0;
+        for round in 0..60 {
+            pad(&db, round);
+            db.wait_for_background_idle().unwrap();
+            most = most.max(log_files(&env, PRIMARY).len());
+        }
+        // Four closed files per tree of the shard, one being closed, one open.
+        assert!(
+            most <= 4 * 2 + 2,
+            "{most} log files (bg: {background_work})"
+        );
+        assert_eq!(db.trees()[0].stats().snapshot().flushes, 1);
+        assert_holds_exactly(&db, 1, "live");
+        drop(db);
+        let db = Db::open_with_trees(env.clone(), PRIMARY, with(opts()), &trees).unwrap();
+        assert_holds_exactly(&db, 1, "reopened");
+    }
+}
+
+#[test]
+fn the_trees_of_a_shard_may_be_reordered_and_extended_between_opens() {
+    const OTHER: &str = "db_other";
+    let env = MemEnv::new();
+    let both = |first: &str, second: &str| {
+        let trees = [first, second].map(|t| (t.to_string(), tree_opts()));
+        Db::open_with_trees(env.clone(), PRIMARY, opts(), &trees).unwrap()
+    };
+    let db = open(env.clone());
+    for i in 0..20 {
+        write(&db, i);
+    }
+    drop(db); // nothing flushed: every operation is in the log alone
+
+    // TREE was tree 1 of the log being replayed and is tree 2 of this open.
+    let db = both(OTHER, TREE);
+    assert_eq!(db.trees()[0].tree_sequence(), 0, "{OTHER} took {TREE}'s");
+    let holds = |db: &Db, at: usize| {
+        let acc: Vec<u8> = (0..20).flat_map(operand).collect();
+        assert_eq!(db.trees()[at].get(b"acc").unwrap().unwrap(), acc);
+        assert_eq!(db.trees()[1 - at].get(b"acc").unwrap(), None);
+        assert_eq!(db.trees()[1 - at].get(b"new").unwrap().unwrap(), b"+++");
+    };
+    let mut batch = WriteBatch::new();
+    batch.push(&BatchOp::merge(1, b"new", b"+++"));
+    db.write(&mut batch).unwrap();
+    holds(&db, 1);
+    drop(db);
+
+    // Without OTHER its operation stays in the log, for the open that
+    // brings it back — in whichever position.
+    assert_eq!(open(env.clone()).trees()[0].get(b"new").unwrap(), None);
+    assert!(log_files(&env, PRIMARY).len() > 1);
+    holds(&both(TREE, OTHER), 0);
+    assert_eq!(log_files(&env, PRIMARY).len(), 1);
+    holds(&both(OTHER, TREE), 1);
 }
 
 #[test]

@@ -18,7 +18,7 @@ use crate::indexes::{IndexKind, LookupHit, SecondaryIndex};
 use crate::topk::TopK;
 use ldbpp_common::Result;
 use ldbpp_lsm::attr::AttrValue;
-use ldbpp_lsm::db::Db;
+use ldbpp_lsm::db::{Db, KeySource};
 use ldbpp_lsm::env::IoStats;
 use ldbpp_lsm::ikey::{compare_internal, parse_internal_key, ValueType};
 use ldbpp_lsm::table::ReadPurpose;
@@ -193,6 +193,11 @@ impl EmbeddedIndex {
                     }
                 }
                 let table = primary.open_table(file)?;
+                let source = if level == 0 {
+                    KeySource::L0File(file.number)
+                } else {
+                    KeySource::Level(level)
+                };
                 // Versions of one pk are contiguous in the file, newest
                 // first; only the first version encountered counts. A
                 // candidate whose pk also appears at the tail of the
@@ -245,17 +250,11 @@ impl EmbeddedIndex {
                                 // drop valid results.
                                 let confirm_newest = |uk: &[u8]| -> Result<bool> {
                                     Ok(!matches!(
-                                        primary.newest_meta(uk)?,
+                                        primary.newest_record(uk)?,
                                         Some((ValueType::Value, s)) if s == seq
                                     ))
                                 };
-                                let maybe_newer = || {
-                                    if level == 0 {
-                                        primary.get_lite_l0(uk, file.number)
-                                    } else {
-                                        primary.get_lite(uk, level)
-                                    }
-                                };
+                                let maybe_newer = || primary.get_lite(uk, source);
                                 let invalid = match self.validation {
                                     EmbeddedValidation::GetLiteConfirmed => {
                                         maybe_newer() && confirm_newest(uk)?

@@ -1,23 +1,27 @@
 //! The database: write path, read path, flushes and compactions.
 //!
-//! Two execution modes share one engine:
+//! One pipeline, two executors. A memtable that reaches
+//! `write_buffer_size` (or is flushed on request) is *frozen*: the log
+//! rotates and the same memtable moves from `mem` to `imm`. A *drain
+//! round* then flushes `imm` to L0 — installing the table and releasing
+//! the logs no tree needs any more — and runs the compactions that made
+//! due. `background_work` only chooses who runs the round:
 //!
-//! * **Foreground** (`background_work: false`, the default): a write that
-//!   fills the memtable flushes it to L0 inline, and a flush that tips a
-//!   level over its target runs the compaction inline. This mirrors the
-//!   paper's single-threaded LevelDB — per-operation costs are directly
-//!   attributable, which is what its experiments measure, and every run is
-//!   byte-for-byte deterministic.
-//! * **Background** (`background_work: true`): a full memtable is frozen
-//!   (`mem` → `imm`) and handed to a dedicated worker thread that flushes
-//!   it to L0 and runs any due compactions, so writes return after the WAL
-//!   append and memtable insert. L0 backpressure (slowdown / stall
-//!   triggers) keeps the worker from falling behind unboundedly.
+//! * **Foreground** (`background_work: false`, the default): the write
+//!   that froze the memtable, before it logs its own record. This mirrors
+//!   the paper's single-threaded LevelDB — per-operation costs are
+//!   directly attributable, which is what its experiments measure, and
+//!   every run is byte-for-byte deterministic.
+//! * **Background** (`background_work: true`): a dedicated worker thread,
+//!   so writes return after the WAL append and memtable insert. L0
+//!   backpressure (slowdown / stall triggers) keeps the worker from
+//!   falling behind unboundedly.
 //!
-//! In both modes reads are lock-free with respect to the write path: a
-//! reader grabs an `Arc` snapshot of `(mem, imm, version)` and proceeds
-//! without ever taking the big mutex, while flushes and compactions
-//! install new snapshots atomically.
+//! [`Db::flush`] runs the round on the calling thread in both modes. Reads
+//! are lock-free with respect to the write path: a reader grabs an `Arc`
+//! snapshot of `(mem, imm, version)` and proceeds without ever taking the
+//! big mutex, while flushes and compactions install new snapshots
+//! atomically.
 
 use crate::cache::LruCache;
 use crate::compaction::{pick_compaction, resolve_key_run_with_snapshot, CompactionJob, RunEntry};
@@ -41,6 +45,7 @@ use ldbpp_common::{Error, Result};
 use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::ops::ControlFlow;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Weak};
 use std::thread;
 use std::time::Duration;
@@ -129,8 +134,8 @@ impl std::fmt::Debug for SharedSequence {
 pub enum KeySource {
     /// The active memtable.
     Mem,
-    /// The frozen memtable awaiting its background flush (only ever
-    /// observed with `background_work` enabled).
+    /// The frozen memtable awaiting its flush (seen by a reader racing a
+    /// drain round, in either mode).
     Imm,
     /// An L0 file (by file number).
     L0File(u64),
@@ -327,12 +332,12 @@ struct DbCore {
     /// Largest sequence number already flushed to L0 (memtable-side
     /// secondary indexes prune their maps against this watermark).
     flushed_seq: AtomicU64,
-    /// Serializes flushes and compactions — held by the worker during a
-    /// background round and by foreground `flush`/`compact` calls.
+    /// Serializes flushes and compactions — held for a drain round (by the
+    /// worker or inline) and by `flush`/`compact` calls.
     maintenance: Mutex<()>,
     /// Signalled (with `inner` state already updated) after every flush or
     /// compaction install and on background errors; writers stalled in
-    /// `make_room_bg` and `wait_for_background_idle` wait on it via `inner`.
+    /// `make_room` and `wait_for_background_idle` wait on it via `inner`.
     work_cond: Condvar,
     /// Table reader cache, keyed by file number.
     tables: Mutex<LruCache<u64, Arc<Table>>>,
@@ -787,10 +792,10 @@ impl Db {
     /// always its own leader of a group of one, producing byte-for-byte
     /// the WAL record the pre-queue engine produced.
     ///
-    /// In foreground mode a leader that finds the memtable full pays for
-    /// the flush (and any due compactions) inline; in background mode it
-    /// freezes the memtable, hands it to the worker and returns — stalling
-    /// only under L0 backpressure (see
+    /// A leader that finds the memtable full freezes it and hands it to
+    /// the drain round: in foreground mode it runs the round (flush, then
+    /// due compactions) itself before logging; in background mode the
+    /// worker does, and the leader stalls only under L0 backpressure (see
     /// [`DbOptions::l0_slowdown_trigger`] / [`DbOptions::l0_stall_trigger`]).
     pub fn write(&self, batch: &mut WriteBatch) -> Result<u64> {
         self.write_request(batch, None)
@@ -860,7 +865,7 @@ impl Db {
 
     /// Flush all in-memory entries, of this table and of the trees it
     /// commits for, to L0 (then run any due compactions, unless
-    /// `auto_compact` is off).
+    /// `auto_compact` is off), on the calling thread in either mode.
     pub fn flush(&self) -> Result<()> {
         for tree in &self.core.trees {
             tree.flush()?;
@@ -1084,29 +1089,37 @@ impl Db {
         self.core.fold_key_sources_at(user_key, snapshot, visit)
     }
 
-    /// The paper's `GetLite(k, currentLevel)`: does a (possibly newer)
-    /// version of `user_key` exist *above* `below_level`, judged purely
+    /// The paper's `GetLite(k, currentLevel)`: is there a version of
+    /// `user_key` newer than the candidate found in `found_in` — in a
+    /// source above it, or in an L0 file newer than its own — judged purely
     /// from in-memory metadata (memtables + index blocks + primary bloom
     /// filters)? No data-block I/O. Bloom false positives make this
     /// conservatively over-report presence.
-    pub fn get_lite(&self, user_key: &[u8], below_level: usize) -> bool {
+    pub fn get_lite(&self, user_key: &[u8], found_in: KeySource) -> bool {
         let latest = self.last_sequence();
         self.core.vc_consume(latest);
         let rs = self.core.read_state();
-        if rs.mem.read().entries_for(user_key, latest).next().is_some() {
+        let holds = |m: &RwLock<MemTable>| m.read().entries_for(user_key, latest).next().is_some();
+        let below_level = match found_in {
+            KeySource::Mem => return false,
+            KeySource::Imm => return holds(&rs.mem),
+            KeySource::L0File(_) => 1,
+            KeySource::Level(level) => level,
+        };
+        if holds(&rs.mem) || rs.imm.as_deref().is_some_and(holds) {
             return true;
         }
-        if let Some(imm) = &rs.imm {
-            if imm.read().entries_for(user_key, latest).next().is_some() {
-                return true;
-            }
-        }
-        let version = &rs.version;
-        let outcome = probe_files_for_key(version, user_key, below_level, |_, f| {
-            let may = match self.core.open_table(f) {
-                Ok(table) => table.primary_may_contain(user_key),
-                Err(_) => true, // unreadable: fail safe
+        let outcome = probe_files_for_key(&rs.version, user_key, below_level, |source, f| {
+            let newer = match (source, found_in) {
+                (KeySource::L0File(number), KeySource::L0File(found)) => number > found,
+                _ => true,
             };
+            // An unreadable table fails safe: it may hold a newer version.
+            let may = newer
+                && self
+                    .core
+                    .open_table(f)
+                    .map_or(true, |table| table.primary_may_contain(user_key));
             Ok(if may {
                 ControlFlow::Break(())
             } else {
@@ -1114,53 +1127,6 @@ impl Db {
             })
         });
         matches!(outcome, Ok(ControlFlow::Break(())))
-    }
-
-    /// `GetLite` variant for candidates found in an L0 file: is there a
-    /// (possibly newer) version in the memtables or in an L0 file *newer
-    /// than* `file_number`? Metadata-only, like [`Db::get_lite`].
-    pub fn get_lite_l0(&self, user_key: &[u8], file_number: u64) -> bool {
-        let latest = self.last_sequence();
-        self.core.vc_consume(latest);
-        let rs = self.core.read_state();
-        if rs.mem.read().entries_for(user_key, latest).next().is_some() {
-            return true;
-        }
-        if let Some(imm) = &rs.imm {
-            if imm.read().entries_for(user_key, latest).next().is_some() {
-                return true;
-            }
-        }
-        let version = &rs.version;
-        let outcome = probe_files_for_key(version, user_key, 1, |_, f| {
-            if f.number <= file_number {
-                return Ok(ControlFlow::Continue(()));
-            }
-            let may = match self.core.open_table(f) {
-                Ok(table) => table.primary_may_contain(user_key),
-                Err(_) => true, // unreadable: fail safe
-            };
-            Ok(if may {
-                ControlFlow::Break(())
-            } else {
-                ControlFlow::Continue(())
-            })
-        });
-        matches!(outcome, Ok(ControlFlow::Break(())))
-    }
-
-    /// Type and sequence of the newest entry for `user_key` anywhere in
-    /// the store (reads data blocks like a GET, but stops at the first
-    /// entry found). Used to confirm `GetLite` positives exactly.
-    pub fn newest_meta(&self, user_key: &[u8]) -> Result<Option<(ValueType, u64)>> {
-        let mut newest = None;
-        self.fold_key_sources(user_key, |_, entries| {
-            if let Some((vtype, _, seq)) = entries.first() {
-                newest = Some((*vtype, *seq));
-            }
-            ControlFlow::Break(())
-        })?;
-        Ok(newest)
     }
 
     /// Newest in-memory entry for `user_key` (type and sequence), if any —
@@ -1191,7 +1157,8 @@ impl Db {
     /// tombstones**, which [`Db::get`] resolves away. `None` means no source
     /// holds any trace of the key (a tombstone compacted to nothing at the
     /// base level also reports `None`). Used by the integrity checker to
-    /// distinguish "deleted" from "never written".
+    /// distinguish "deleted" from "never written", and to confirm `GetLite`
+    /// positives exactly.
     pub fn newest_record(&self, user_key: &[u8]) -> Result<Option<(ValueType, u64)>> {
         let mut found = None;
         self.fold_key_sources_at(user_key, None, |_, entries| {
@@ -1340,8 +1307,7 @@ impl Db {
 /// Visit every file that may contain `user_key` in levels `0..below_level`,
 /// newest first (each qualifying L0 file in the version's newest-first
 /// order, then the one candidate per deeper level). The single probe loop
-/// behind [`Db::fold_key_sources_at`], [`Db::get_lite`] and
-/// [`Db::get_lite_l0`].
+/// behind [`Db::fold_key_sources_at`] and [`Db::get_lite`].
 fn probe_files_for_key<F>(
     version: &Version,
     user_key: &[u8],
@@ -1575,9 +1541,25 @@ impl DbCore {
     /// Every exit path pops the committed group (at minimum `own` itself)
     /// from the writer queue and promotes the next queued request to
     /// leader — otherwise the queue would deadlock behind a request
-    /// nobody is driving.
+    /// nobody is driving. That includes a panic (in a [`DeriveOps`] or a
+    /// memtable insert): the record may be in the WAL without its inserts,
+    /// so the leader poisons the database and hands the whole group that
+    /// error before the panic resumes. The clean-up runs with the panic
+    /// caught rather than from a drop guard: it takes locks, and a lock
+    /// that panics during an unwind (as the model checker's do when it
+    /// aborts a run) would abort the process.
     fn lead_group(&self, own: &Arc<WriteRequest>) -> Result<u64> {
-        let (group, outcome) = self.commit_group(own);
+        let (group, outcome) =
+            match panic::catch_unwind(AssertUnwindSafe(|| self.commit_group(own))) {
+                Ok(committed) => committed,
+                Err(payload) => {
+                    let fatal = self.set_fatal(Error::corruption(
+                        "a group commit panicked: the log may hold a record its memtables lack",
+                    ));
+                    let _ = self.finish_group(own, &self.collect_group(own), Err(fatal));
+                    panic::resume_unwind(payload)
+                }
+            };
         self.finish_group(own, &group, outcome)
     }
 
@@ -1591,24 +1573,13 @@ impl DbCore {
         if let Err(e) = self.check_fatal() {
             return (vec![Arc::clone(own)], Err(e));
         }
-        if self.opts.background_work {
-            self.maybe_slowdown();
-            let mut inner = self.inner.lock();
-            if let Err(e) = self.make_room_bg(&mut inner, false) {
-                // Make-room failure fails only the leader (LevelDB's
-                // contract): queued followers may well succeed once the
-                // backlog clears, so they get a fresh leader, not our
-                // error.
-                return (vec![Arc::clone(own)], Err(e));
-            }
-            self.append_group(&mut inner, own)
-        } else {
-            let _maintenance = self.maintenance.lock();
-            if let Err(e) = self.make_room_sync(false) {
-                return (vec![Arc::clone(own)], Err(e));
-            }
-            let mut inner = self.inner.lock();
-            self.append_group(&mut inner, own)
+        self.maybe_slowdown();
+        match self.make_room(self.inner.lock(), false) {
+            Ok(mut inner) => self.append_group(&mut inner, own),
+            // Make-room failure fails only the leader (LevelDB's
+            // contract): queued followers may well succeed once the
+            // backlog clears, so they get a fresh leader, not our error.
+            Err(e) => (vec![Arc::clone(own)], Err(e)),
         }
     }
 
@@ -1673,7 +1644,9 @@ impl DbCore {
             .filter(|tree| tree_bytes[*tree] > 0)
             .collect();
         for tree in &fed {
-            self.trees[tree - 1].core.make_room(false)?;
+            let core = &self.trees[tree - 1].core;
+            core.maybe_slowdown();
+            core.make_room(core.inner.lock(), false)?;
         }
         let index_first = model_bugs::enabled(Fault::IndexBeforeWal);
         if index_first {
@@ -1812,23 +1785,9 @@ impl DbCore {
         if seq <= self.flushed_seq.load(Ordering::Acquire) {
             return Ok(());
         }
-        self.make_room(false)?;
-        self.insert(&mut self.inner.lock(), std::iter::once((seq, op)));
+        let mut inner = self.make_room(self.inner.lock(), false)?;
+        self.insert(&mut inner, std::iter::once((seq, op)));
         Ok(())
-    }
-
-    /// Make room in this fed tree's memtable for a commit of the shard,
-    /// by the tree's own `write_buffer_size` trigger — or, with `force`,
-    /// whatever it holds — and in its own mode. Caller holds none of this
-    /// tree's locks.
-    fn make_room(&self, force: bool) -> Result<()> {
-        if self.opts.background_work {
-            self.maybe_slowdown();
-            self.make_room_bg(&mut self.inner.lock(), force)
-        } else {
-            let _maintenance = self.maintenance.lock();
-            self.make_room_sync(force)
-        }
     }
 
     fn last_sequence(&self) -> u64 {
@@ -1865,7 +1824,7 @@ impl DbCore {
             let oldest = inner.closed_logs[0].1;
             for tree in &self.trees {
                 if tree.core.durable_through() < oldest {
-                    tree.core.make_room(true)?;
+                    tree.core.make_room(tree.core.inner.lock(), true)?;
                 }
             }
         }
@@ -1929,26 +1888,6 @@ impl DbCore {
         own_result
     }
 
-    /// Foreground room-making: flush + compact inline, exactly the seed
-    /// engine's synchronous behaviour. Caller holds `maintenance`.
-    fn make_room_sync(&self, force: bool) -> Result<()> {
-        let full = {
-            let rs = self.read_state();
-            let bytes = rs.mem.read().approximate_bytes();
-            bytes >= self.opts.write_buffer_size || force
-        };
-        if full {
-            {
-                let mut inner = self.inner.lock();
-                self.flush_memtable_sync(&mut inner)?;
-            }
-            if self.opts.auto_compact {
-                self.run_compactions()?;
-            }
-        }
-        Ok(())
-    }
-
     /// One-millisecond write delay once L0 reaches the slowdown trigger
     /// (LevelDB's gradual backpressure). Runs before any lock is taken.
     fn maybe_slowdown(&self) {
@@ -1962,41 +1901,80 @@ impl DbCore {
         }
     }
 
-    /// Background room-making: freeze a full memtable and hand it to the
-    /// worker, stalling only while a previous freeze is still unflushed or
-    /// L0 is at the hard trigger. Caller holds `inner` (released while
-    /// waiting).
-    fn make_room_bg(&self, inner: &mut MutexGuard<'_, DbInner>, force: bool) -> Result<()> {
+    /// Make room in the active memtable: freeze it once it reaches
+    /// `write_buffer_size` — or, with `force`, until whatever it holds has
+    /// reached L0 — and hand the frozen memtable to the drain round.
+    /// Waits out a previous freeze that is still unflushed, and L0 at the
+    /// hard trigger. Takes `inner` and gives it back; it is released while
+    /// a round runs or is awaited.
+    fn make_room<'a>(
+        &'a self,
+        mut inner: MutexGuard<'a, DbInner>,
+        force: bool,
+    ) -> Result<MutexGuard<'a, DbInner>> {
         loop {
             self.check_bg_error()?;
-            let rs = self.read_state();
-            let bytes = rs.mem.read().approximate_bytes();
+            // No read state is held across a round: its version would
+            // keep the round's compaction inputs on disk.
+            let (bytes, frozen, l0) = {
+                let rs = self.read_state();
+                let bytes = rs.mem.read().approximate_bytes();
+                (bytes, rs.imm.is_some(), rs.version.files[0].len())
+            };
             // Forced, wait until whatever there is has reached L0.
-            let pending = force && (bytes > 0 || rs.imm.is_some());
+            let pending = force && (bytes > 0 || frozen);
             if bytes < self.opts.write_buffer_size && !pending {
-                return Ok(());
+                return Ok(inner);
             }
-            if rs.imm.is_some() {
-                // Previous freeze not flushed yet: wait for the worker.
-                self.kick_worker();
-                self.work_cond.wait(inner);
+            // Hard stall: flushing another memtable would only grow L0.
+            let stalled = self.opts.auto_compact && l0 >= self.opts.l0_stall_trigger;
+            if frozen || stalled {
+                inner = self.drain_due(inner, true)?;
                 continue;
             }
-            if self.opts.auto_compact && rs.version.files[0].len() >= self.opts.l0_stall_trigger {
-                // Hard stall: flushing another memtable would only grow L0.
-                self.kick_worker();
-                self.work_cond.wait(inner);
-                continue;
-            }
-            self.swap_memtable(inner)?;
+            self.swap_memtable(&mut inner)?;
+            inner = self.drain_due(inner, false)?;
             if !force {
-                return Ok(());
+                return Ok(inner);
             }
         }
     }
 
+    /// Hand the pipeline's due work to its executor. With a worker, wake
+    /// it and, with `wait`, sleep until it next installs something.
+    /// Without one, run the drain round on this thread; `inner` is released
+    /// for it, as the lock order is `maintenance` → `inner`.
+    fn drain_due<'a>(
+        &'a self,
+        mut inner: MutexGuard<'a, DbInner>,
+        wait: bool,
+    ) -> Result<MutexGuard<'a, DbInner>> {
+        if self.opts.background_work {
+            self.kick_worker();
+            if wait {
+                self.work_cond.wait(&mut inner);
+            }
+            return Ok(inner);
+        }
+        drop(inner);
+        {
+            let _maintenance = self.maintenance.lock();
+            self.drain()?;
+        }
+        Ok(self.inner.lock())
+    }
+
+    /// One drain round: flush the frozen memtable, then run due
+    /// compactions — a newly frozen memtable first whenever there is one —
+    /// until neither is left. Caller holds `maintenance`.
+    fn drain(&self) -> Result<()> {
+        while self.flush_imm()? || (self.opts.auto_compact && self.run_one_compaction()?) {}
+        Ok(())
+    }
+
     /// Freeze the active memtable as `imm`, install a fresh one and rotate
-    /// the WAL. Caller holds `inner`; `imm` must be empty.
+    /// the WAL: the only place a log rotates. Caller holds `inner`; `imm`
+    /// must be empty.
     fn swap_memtable(&self, inner: &mut DbInner) -> Result<()> {
         let pending = if self.opts.wal_enabled {
             let old_log = inner.versions.log_number;
@@ -2021,72 +1999,14 @@ impl DbCore {
             imm: Some(Arc::clone(&cur.mem)),
             version: Arc::clone(&cur.version),
         });
-        self.kick_worker();
         Ok(())
     }
 
-    /// Foreground flush: build the L0 table and install it in one step
-    /// (the seed engine's `flush_memtable`, minus the big-lock read path).
-    /// Caller holds `maintenance` and `inner`.
-    fn flush_memtable_sync(&self, inner: &mut DbInner) -> Result<()> {
-        let rs = self.read_state();
-        if rs.mem.read().is_empty() {
-            return Ok(());
-        }
-        let old_log = inner.versions.log_number;
-        let new_wal = if self.opts.wal_enabled {
-            let number = inner.versions.new_file_number();
-            Some((
-                number,
-                start_log(&self.env, &self.name, number, &self.trees)?,
-            ))
-        } else {
-            None
-        };
-        let number = inner.versions.new_file_number();
-        let meta = build_l0_table(
-            &self.opts,
-            &self.env,
-            &self.stats,
-            &self.name,
-            number,
-            &rs.mem.read(),
-        )?;
-        let mut edit = VersionEdit {
-            log_number: new_wal.as_ref().map(|(n, _)| *n),
-            ..Default::default()
-        };
-        edit.add_file(0, meta);
-        inner.versions.flushed_seq = inner.versions.last_sequence;
-        // A failed MANIFEST append poisons like a failed WAL append: the
-        // writer's block offset no longer matches the file (see `fatal`).
-        inner
-            .versions
-            .log_and_apply(edit)
-            .map_err(|e| self.set_fatal(e))?;
-        let new_version = inner.versions.current();
-        self.install_read_state(|cur| ReadState {
-            mem: Arc::new(RwLock::new(self.fresh_memtable())),
-            imm: cur.imm.clone(),
-            version: Arc::clone(&new_version),
-        });
-        self.live_versions.lock().push(Arc::downgrade(&new_version));
-        inner.wal = new_wal.map(|(_, w)| w);
-        inner.mem_generation += 1;
-        self.flushed_seq
-            .store(inner.versions.last_sequence, Ordering::Release);
-        if self.opts.wal_enabled {
-            inner
-                .closed_logs
-                .push((old_log, inner.versions.last_sequence));
-        }
-        self.gc_logs(inner)
-    }
-
-    /// Background flush of the frozen memtable, if any. The table is built
-    /// without holding `inner` — readers and writers proceed — and the
-    /// result is installed under `inner` in one read-state swap. Caller
-    /// holds `maintenance`. Returns whether a flush happened.
+    /// Flush the frozen memtable, if any: the only way a memtable reaches
+    /// L0 after open. The table is built without holding `inner` — readers
+    /// and writers proceed — and the result is installed under `inner` in
+    /// one read-state swap, which also releases the logs no tree needs any
+    /// more. Caller holds `maintenance`. Returns whether a flush happened.
     fn flush_imm(&self) -> Result<bool> {
         let (imm, pending) = {
             let inner = self.inner.lock();
@@ -2140,10 +2060,6 @@ impl DbCore {
     /// Flush everything in memory (frozen, then active) to L0. Caller
     /// holds `maintenance`.
     fn flush_all_locked(&self) -> Result<()> {
-        if !self.opts.background_work {
-            let mut inner = self.inner.lock();
-            return self.flush_memtable_sync(&mut inner);
-        }
         self.check_bg_error()?;
         loop {
             self.flush_imm()?;
@@ -2152,7 +2068,6 @@ impl DbCore {
             if rs.imm.is_some() {
                 // A racing writer froze the new memtable while we flushed;
                 // go around again.
-                drop(inner);
                 continue;
             }
             if rs.mem.read().is_empty() {
@@ -2161,6 +2076,7 @@ impl DbCore {
             self.swap_memtable(&mut inner)?;
         }
     }
+
     /// Run compactions until no level is over threshold. Caller holds
     /// `maintenance`.
     fn run_compactions(&self) -> Result<()> {
@@ -2264,15 +2180,11 @@ impl DbCore {
                 // writer that fills the active memtable mid-compaction stalls
                 // for the whole compaction instead of one short flush. Checked
                 // every few entries to keep the common-path cost negligible.
-                // In synchronous mode `imm` is always `None` here, and the
-                // `background_work` gate skips even the read-state probe.
-                if self.opts.background_work {
-                    entries_since_imm_check += 1;
-                    if entries_since_imm_check >= 64 {
-                        entries_since_imm_check = 0;
-                        if self.read_state().imm.is_some() {
-                            self.flush_imm()?;
-                        }
+                entries_since_imm_check += 1;
+                if entries_since_imm_check >= 64 {
+                    entries_since_imm_check = 0;
+                    if self.read_state().imm.is_some() {
+                        self.flush_imm()?;
                     }
                 }
                 let (user_key, seq, vtype) = ikey::parse_internal_key(merged.key())?;
@@ -2511,8 +2423,7 @@ fn start_log(env: &Arc<dyn Env>, name: &str, number: u64, trees: &[Arc<Db>]) -> 
     Ok(wal)
 }
 
-/// Background worker: waits for kicks, then flushes the frozen memtable
-/// and runs due compactions until there is nothing left to do.
+/// Background worker: waits for kicks, then runs a drain round.
 fn worker_loop(core: &DbCore, rx: Receiver<WorkerMsg>) {
     loop {
         match rx.recv() {
@@ -2528,27 +2439,11 @@ fn worker_loop(core: &DbCore, rx: Receiver<WorkerMsg>) {
             }
         }
         let _maintenance = core.maintenance.lock();
-        loop {
-            let step = (|| -> Result<bool> {
-                if core.flush_imm()? {
-                    return Ok(true);
-                }
-                if core.opts.auto_compact && core.run_one_compaction()? {
-                    return Ok(true);
-                }
-                Ok(false)
-            })();
-            match step {
-                Ok(true) => continue,
-                Ok(false) => break,
-                Err(e) => {
-                    // Park the error for the next writer and wake any
-                    // stalled ones so they can surface it.
-                    *core.bg_error.lock() = Some(e);
-                    core.work_cond.notify_all();
-                    break;
-                }
-            }
+        if let Err(e) = core.drain() {
+            // Park the error for the next writer and wake any stalled ones
+            // so they can surface it.
+            *core.bg_error.lock() = Some(e);
+            core.work_cond.notify_all();
         }
     }
 }

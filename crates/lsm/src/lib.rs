@@ -25,12 +25,13 @@
 //!   [`options::DbOptions::paranoid_checks`] selects between abort-on-first
 //!   -error and permissive salvage behaviour at run time.
 //!
-//! The engine has two execution modes (see [`db`] for the full protocol):
-//! by default it is deliberately synchronous and deterministic (the paper
-//! chose single-threaded LevelDB "so we can easily isolate and explain the
-//! performance differences of the various indexing methods"); setting
-//! [`options::DbOptions::background_work`] instead hands flushes and
-//! compactions to a dedicated worker thread, keeping maintenance off the
+//! The engine has one flush pipeline and two executors for it (see [`db`]
+//! for the full protocol): by default the write that fills the memtable
+//! runs the flush and its compactions itself, deliberately synchronous and
+//! deterministic (the paper chose single-threaded LevelDB "so we can easily
+//! isolate and explain the performance differences of the various indexing
+//! methods"); setting [`options::DbOptions::background_work`] hands the
+//! same work to a dedicated worker thread, keeping maintenance off the
 //! write path while reads stay lock-free in both modes.
 
 #![deny(missing_docs)]

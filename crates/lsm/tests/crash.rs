@@ -676,52 +676,59 @@ fn manifest_byte_flip_reports_corruption() {
 // ---------------------------------------------------------------------------
 
 /// A transient fault while building an SSTable propagates as `Err`, leaves
-/// no orphan file, and the flush is retryable — the database stays fully
-/// usable.
+/// no orphan file — no table, and no log once the retry succeeds — and
+/// the flush is retryable: the database stays fully usable, in either mode.
 #[test]
 fn table_build_fault_is_retryable() {
-    let mem = MemEnv::new();
-    let fenv = FaultEnv::new(mem.clone());
-    let db = Db::open(fenv.clone(), "db", opts(false)).unwrap();
-    for i in 0..10 {
-        db.put(&key(i), &val(i)).unwrap();
-    }
-    let tables_before = mem
-        .list("db")
-        .unwrap()
-        .iter()
-        .filter(|f| f.ends_with(".ldb"))
-        .count();
-    fenv.set_plan(FaultPlan {
-        fail_kind_at: Some((FaultOp::Append, 0)),
-        match_path: Some(".ldb".to_string()),
-        ..FaultPlan::default()
-    });
-    let err = db
-        .flush()
-        .expect_err("flush must surface the injected fault");
-    assert!(err.is_io(), "want Io, got {err:?}");
-    assert_eq!(
-        mem.list("db")
-            .unwrap()
-            .iter()
-            .filter(|f| f.ends_with(".ldb"))
-            .count(),
-        tables_before,
-        "failed flush left an orphan table file"
-    );
-    assert!(
-        db.fatal_error().is_none(),
-        "table-build fault must not poison"
-    );
+    for background in [false, true] {
+        let mem = MemEnv::new();
+        let fenv = FaultEnv::new(mem.clone());
+        let db = Db::open(fenv.clone(), "db", opts(background)).unwrap();
+        for i in 0..10 {
+            db.put(&key(i), &val(i)).unwrap();
+        }
+        // A worker flush racing the fault would park it as `bg_error`;
+        // this test is about the flush `flush()` runs itself.
+        db.wait_for_background_idle().unwrap();
+        let files = |suffix: &str| -> Vec<String> {
+            let mut names = mem.list("db").unwrap();
+            names.retain(|f| f.ends_with(suffix));
+            names
+        };
+        let tables_before = files(".ldb").len();
+        fenv.set_plan(FaultPlan {
+            fail_kind_at: Some((FaultOp::Append, 0)),
+            match_path: Some(".ldb".to_string()),
+            ..FaultPlan::default()
+        });
+        let err = db
+            .flush()
+            .expect_err("flush must surface the injected fault");
+        assert!(err.is_io(), "want Io, got {err:?}");
+        assert_eq!(
+            files(".ldb").len(),
+            tables_before,
+            "failed flush left an orphan table file (bg: {background})"
+        );
+        assert!(
+            db.fatal_error().is_none(),
+            "table-build fault must not poison"
+        );
 
-    fenv.clear_plan();
-    db.flush().expect("flush must succeed on retry");
-    for i in 2..10 {
-        // keys wrap mod 8, so key(0)/key(1) were overwritten by i = 8, 9
-        assert_eq!(db.get(&key(i)).unwrap(), Some(val(i)));
+        fenv.clear_plan();
+        db.flush().expect("flush must succeed on retry");
+        assert_eq!(
+            files(".log").len(),
+            1,
+            "failed flush leaked a log file (bg: {background}): {:?}",
+            files(".log")
+        );
+        for i in 2..10 {
+            // keys wrap mod 8, so key(0)/key(1) were overwritten by i = 8, 9
+            assert_eq!(db.get(&key(i)).unwrap(), Some(val(i)));
+        }
+        db.put(b"after", b"retry").unwrap();
     }
-    db.put(b"after", b"retry").unwrap();
 }
 
 /// A failed WAL append poisons the write path (the writer's framing no

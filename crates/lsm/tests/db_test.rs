@@ -230,10 +230,15 @@ fn get_lite_detects_newer_versions_without_io() {
 
     // Rewrite one key so a newer version sits in the memtable.
     db.put(&k(7), b"newer").unwrap();
-    assert!(db.get_lite(&k(7), deepest), "memtable version detected");
+    let below = KeySource::Level(deepest);
+    assert!(db.get_lite(&k(7), below), "memtable version detected");
+    assert!(
+        !db.get_lite(&k(7), KeySource::Mem),
+        "nothing is newer than the memtable"
+    );
 
     let s_before = db.stats().snapshot();
-    let _ = db.get_lite(&k(7), deepest);
+    let _ = db.get_lite(&k(7), below);
     let s_after = db.stats().snapshot();
     assert_eq!(
         s_after.block_reads, s_before.block_reads,

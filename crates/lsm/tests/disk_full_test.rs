@@ -8,9 +8,10 @@ use std::sync::Arc;
 
 const DB: &str = "fulldb";
 
-fn opts() -> DbOptions {
+fn opts(background: bool) -> DbOptions {
     DbOptions {
         auto_compact: false,
+        background_work: background,
         ..DbOptions::small()
     }
 }
@@ -33,37 +34,50 @@ fn no_space_on_next_table(fault: &FaultEnv) {
     });
 }
 
+/// A full disk fails the flush cleanly, and the retry succeeds without
+/// leaving the log file the failed attempt froze the memtable under.
 #[test]
 fn full_disk_during_flush_is_retryable() {
-    let fault = FaultEnv::new(MemEnv::new());
-    let env: Arc<dyn Env> = fault.clone();
-    let db = Db::open(env, DB, opts()).unwrap();
-    for i in 0..20 {
-        db.put(&key(i), &val(i)).unwrap();
+    for background in [false, true] {
+        let fault = FaultEnv::new(MemEnv::new());
+        let env: Arc<dyn Env> = fault.clone();
+        let db = Db::open(env, DB, opts(background)).unwrap();
+        for i in 0..20 {
+            db.put(&key(i), &val(i)).unwrap();
+        }
+        // The fault is for the flush `flush()` runs, not a worker's.
+        db.wait_for_background_idle().unwrap();
+        no_space_on_next_table(&fault);
+        let err = db.flush().unwrap_err();
+        assert!(err.is_no_space(), "wrong error kind: {err}");
+        // Nothing was lost: every write is still served (from memory).
+        for i in 0..20 {
+            assert_eq!(db.get(&key(i)).unwrap().as_deref(), Some(val(i).as_slice()));
+        }
+        // Space freed: the retry succeeds and the data reaches L0.
+        fault.set_plan(FaultPlan::default());
+        db.flush().unwrap();
+        assert!(!db.current_version().files[0].is_empty());
+        for i in 0..20 {
+            assert_eq!(db.get(&key(i)).unwrap().as_deref(), Some(val(i).as_slice()));
+        }
+        let mut logs = fault.list(DB).unwrap();
+        logs.retain(|f| f.ends_with(".log"));
+        assert_eq!(
+            logs.len(),
+            1,
+            "a failed flush leaked a log file (bg: {background}): {logs:?}"
+        );
+        let report = db.check_integrity();
+        assert!(report.is_clean(), "{report}");
     }
-    no_space_on_next_table(&fault);
-    let err = db.flush().unwrap_err();
-    assert!(err.is_no_space(), "wrong error kind: {err}");
-    // Nothing was lost: every write is still served (from the memtable).
-    for i in 0..20 {
-        assert_eq!(db.get(&key(i)).unwrap().as_deref(), Some(val(i).as_slice()));
-    }
-    // Space freed: the retry succeeds and the data reaches L0.
-    fault.set_plan(FaultPlan::default());
-    db.flush().unwrap();
-    assert!(!db.current_version().files[0].is_empty());
-    for i in 0..20 {
-        assert_eq!(db.get(&key(i)).unwrap().as_deref(), Some(val(i).as_slice()));
-    }
-    let report = db.check_integrity();
-    assert!(report.is_clean(), "{report}");
 }
 
 #[test]
 fn full_disk_during_compaction_is_retryable() {
     let fault = FaultEnv::new(MemEnv::new());
     let env: Arc<dyn Env> = fault.clone();
-    let db = Db::open(env, DB, opts()).unwrap();
+    let db = Db::open(env, DB, opts(false)).unwrap();
     for i in 0..20 {
         db.put(&key(i), &val(i)).unwrap();
     }
@@ -92,7 +106,7 @@ fn full_disk_during_compaction_is_retryable() {
 fn full_disk_on_wal_append_surfaces_no_space() {
     let fault = FaultEnv::new(MemEnv::new());
     let env: Arc<dyn Env> = fault.clone();
-    let db = Db::open(env, DB, opts()).unwrap();
+    let db = Db::open(env, DB, opts(false)).unwrap();
     db.put(b"before", b"v").unwrap();
     fault.set_plan(FaultPlan {
         fail_kind_at: Some((FaultOp::Append, 0)),

@@ -9,11 +9,11 @@
 //! ranges never overlap, a failed group fails all of its members, and an
 //! uncontended single writer stays byte-for-byte deterministic.
 
-use ldbpp_lsm::db::{Db, DbOptions};
+use ldbpp_lsm::db::{CommitView, Db, DbOptions, DeriveOps};
 use ldbpp_lsm::env::{Env, FaultEnv, FaultOp, FaultPlan, MemEnv, SyncLatencyEnv};
-use ldbpp_lsm::write_batch::WriteBatch;
+use ldbpp_lsm::write_batch::{BatchOp, WriteBatch};
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Barrier};
 use std::thread;
 use std::time::Duration;
 
@@ -225,6 +225,96 @@ fn failed_wal_append_poisons_and_unacked_writes_are_absent() {
         } else {
             assert!(got.is_none(), "failed write {key} leaked into the database");
         }
+    }
+}
+
+/// A derivation that signals `entered`, waits for `release`, then panics —
+/// a commit leader dying mid-commit at a moment the test chooses.
+struct PanicOnRelease {
+    entered: Barrier,
+    release: Barrier,
+}
+
+impl DeriveOps for PanicOnRelease {
+    fn derive(
+        &self,
+        _view: &CommitView<'_>,
+        _seq: u64,
+        _op: &BatchOp,
+        _out: &mut Vec<BatchOp>,
+    ) -> ldbpp_common::Result<()> {
+        self.entered.wait();
+        self.release.wait();
+        panic!("derivation panics mid-commit");
+    }
+}
+
+/// The failure contract's unwind row (DESIGN.md §14.3): a leader that
+/// panics mid-commit poisons the database and still pops its group and
+/// promotes the next writer, so a write queued behind it fails promptly
+/// instead of waiting forever — and a reopen serves every write
+/// acknowledged before the panic. In both modes.
+#[test]
+fn panicking_leader_fails_queued_writers_instead_of_wedging() {
+    for background in [false, true] {
+        let env = MemEnv::new();
+        let db = Arc::new(Db::open(env.clone(), "db", opts(background)).unwrap());
+        for i in 0..20 {
+            db.put(format!("acked-{i:02}").as_bytes(), b"v").unwrap();
+        }
+        let deriver = Arc::new(PanicOnRelease {
+            entered: Barrier::new(2),
+            release: Barrier::new(2),
+        });
+        let leader = {
+            let (db, deriver) = (Arc::clone(&db), Arc::clone(&deriver));
+            thread::spawn(move || {
+                let mut batch = WriteBatch::new();
+                batch.put(b"doomed", b"v");
+                db.write_derived(&mut batch, deriver)
+            })
+        };
+        // The leader now sits at the queue front, inside its commit.
+        deriver.entered.wait();
+        let (tx, rx) = mpsc::channel();
+        let follower = {
+            let db = Arc::clone(&db);
+            thread::spawn(move || {
+                let _ = tx.send(db.put(b"queued", b"v"));
+            })
+        };
+        // Let the leader panic. Either interleaving checks the contract: a
+        // writer queued behind the leader must be promoted and refused, one
+        // arriving after the panic must be refused at once — and without
+        // the unwind path both wait forever behind the departed leader.
+        // The pause only makes the queued case the likely one.
+        thread::sleep(Duration::from_millis(100));
+        deriver.release.wait();
+        assert!(leader.join().is_err(), "the leader's panic must propagate");
+        let queued = rx
+            .recv_timeout(Duration::from_secs(10))
+            .unwrap_or_else(|_| {
+                panic!("writer queued behind a panicked leader is wedged (bg: {background})")
+            });
+        assert!(
+            queued.is_err(),
+            "a write after a panicked commit must be refused (bg: {background})"
+        );
+        follower.join().unwrap();
+        assert!(db.fatal_error().is_some(), "a panicked commit must poison");
+        drop(db);
+
+        let db = Db::open(env, "db", opts(background)).unwrap();
+        for i in 0..20 {
+            assert_eq!(
+                db.get(format!("acked-{i:02}").as_bytes())
+                    .unwrap()
+                    .as_deref(),
+                Some(&b"v"[..]),
+                "write acked before the panic lost (bg: {background})"
+            );
+        }
+        db.put(b"after", b"reopen").unwrap();
     }
 }
 

@@ -219,7 +219,7 @@ pub fn two_trees(cfg: Config) -> Instance {
                 );
             }
             for hit in db.lookup("A", &Value::Int(7), None).expect("lookup") {
-                let record = primary.newest_meta(&hit.key).expect("primary read");
+                let record = primary.newest_record(&hit.key).expect("primary read");
                 assert_eq!(
                     record,
                     Some((ValueType::Value, hit.seq)),

@@ -30,7 +30,7 @@ fn corpus_group_commit_early_publish() {
         ..Default::default()
     };
     assert_replays(
-        "v1:0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.1.1.1:f6184624",
+        "v1:0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.1.1.1:ec3b8283",
         group_commit::instance(cfg),
         "early-publish",
         "vclock",
@@ -45,7 +45,7 @@ fn corpus_group_commit_lost_leader_wakeup() {
         ..Default::default()
     };
     assert_replays(
-        "v1:0.0.0.0.0.0.0.0.0.0.0.0.1.1.1.1.0.0.0.0.0.0.0.0.0.0:8811dd54",
+        "v1:0.0.0.0.0.0.0.0.0.0.0.0.1.1.1.1.0.0.0.0.0.0.0.0.0.0:dfdf04a2",
         group_commit::instance(cfg),
         "skip-notify",
         "deadlock",
@@ -56,7 +56,7 @@ fn corpus_group_commit_lost_leader_wakeup() {
 fn corpus_eager_k_prefix_truncation() {
     let _g = ldbpp_model::exclusive();
     assert_replays(
-        "v1:0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0:43aa297a",
+        "v1:0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0:b8d71743",
         scatter::eager_range(true),
         "eager-k-prefix",
         "not linearizable",
@@ -71,7 +71,7 @@ fn corpus_index_tree_before_wal() {
         ..Default::default()
     };
     assert_replays(
-        "v1:0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.1.1.1.1.1.1.1.1.1.1.1.1.1:5e2db59c",
+        "v1:0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.1.1.1.1.1.1.1.1.1.1.1.1.1:7e38db8a",
         group_commit::two_trees(cfg),
         "index-before-wal",
         "without its primary record",

@@ -49,7 +49,7 @@
 #      `ldbpp_tool check` clean (DESIGN.md §18);
 #  10. repair smoke: build a real on-disk database, corrupt a table,
 #      `ldbpp_tool repair` it (must exit non-zero and quarantine the
-#      damaged file), verify with the `check` binary, and reopen;
+#      damaged file), verify with `ldbpp_tool check`, and reopen;
 #  11. benchmark smoke: `benchmark/run.sh --quick` for each of the four
 #      workloads of BENCHMARK.json (op counts / 20, one repetition);
 #      fails when the oracle rejects a result (`correct: false`) or any
@@ -58,7 +58,10 @@
 #  12. documentation (`scripts/check_docs.sh`: rustdoc with -D warnings
 #      plus markdown link check, and grep gates pinning DESIGN.md §14,
 #      §15, §16, §18 + the README's group-commit, sharding, server,
-#      and chaos coverage).
+#      and chaos coverage);
+#  13. line count (`scripts/loc.sh`): non-test lines of crates/lsm/src and
+#      crates/core/src and their total — informational, never fails, so
+#      the ROADMAP's line-count criteria come from a command.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -181,5 +184,8 @@ for workload in static_load static_query net_mixed durable_put; do
 done
 
 ./scripts/check_docs.sh
+
+echo "== non-test line count (informational) =="
+./scripts/loc.sh
 
 echo "CI OK"

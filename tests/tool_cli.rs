@@ -295,7 +295,11 @@ fn check_cli_diagnoses_databases() {
         db.flush().unwrap();
     }
 
-    let check = || Command::new(env!("CARGO_BIN_EXE_check"));
+    let check = || {
+        let mut cmd = tool();
+        cmd.arg("check");
+        cmd
+    };
 
     // Healthy database: exit 0, "clean" verdict.
     let out = check().arg(&db_path).output().unwrap();
@@ -319,7 +323,7 @@ fn check_cli_diagnoses_databases() {
     let out = check().arg(&db_path).output().unwrap();
     assert_eq!(out.status.code(), Some(1));
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("file-size"), "{stdout}");
+    assert!(stdout.contains("[FileSize]"), "{stdout}");
     assert!(
         stdout.contains(table.file_name().unwrap().to_str().unwrap()),
         "{stdout}"

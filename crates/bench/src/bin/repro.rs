@@ -159,6 +159,7 @@ fn main() {
                 produced.push(appendix_c::zonemap_granularity(scale));
                 produced.push(appendix_c::getlite_validation(scale));
                 produced.push(appendix_c::cache_inflection(scale));
+                produced.push(appendix_c::background_tail(scale));
             }
             other => unreachable!("validated above: {other}"),
         }

@@ -1,10 +1,8 @@
 //! Shared experiment setup: database variants, scaled options, loading.
 
-use ldbpp_core::{Document, IndexKind, SecondaryDb, SecondaryDbOptions};
+use ldbpp_core::{Document, IndexKind, SecondaryDb};
 use ldbpp_lsm::db::DbOptions;
-use ldbpp_lsm::env::MemEnv;
 use ldbpp_workload::{SeedStats, Tweet, TweetGenerator};
-use std::sync::Arc;
 
 /// The five index variants of the paper's figures (plus the NoIndex
 /// baseline where applicable).
@@ -87,35 +85,6 @@ pub fn bench_stats() -> SeedStats {
     SeedStats::compact()
 }
 
-/// Open a database with both paper attributes (`UserID`, `CreationTime`)
-/// indexed by `kind` (or unindexed for the NoIndex baseline).
-pub fn build_db(kind: IndexKind, opts: DbOptions) -> SecondaryDb {
-    SecondaryDb::open(
-        MemEnv::new(),
-        "db",
-        SecondaryDbOptions {
-            base: opts,
-            ..Default::default()
-        },
-        &[("UserID", kind), ("CreationTime", kind)],
-    )
-    .expect("open database")
-}
-
-/// Open a database with a given env so callers can measure storage bytes.
-pub fn build_db_in(env: Arc<MemEnv>, kind: IndexKind, opts: DbOptions) -> SecondaryDb {
-    SecondaryDb::open(
-        env,
-        "db",
-        SecondaryDbOptions {
-            base: opts,
-            ..Default::default()
-        },
-        &[("UserID", kind), ("CreationTime", kind)],
-    )
-    .expect("open database")
-}
-
 /// Convert a generated tweet to its stored document.
 pub fn doc_of(tweet: &Tweet) -> Document {
     Document::from_value(tweet.document()).expect("tweet doc")
@@ -139,7 +108,11 @@ mod tests {
     #[test]
     fn build_and_load_all_variants() {
         for kind in VARIANTS {
-            let db = build_db(kind, bench_opts());
+            let db = SecondaryDb::open_in_memory(
+                bench_opts(),
+                &[("UserID", kind), ("CreationTime", kind)],
+            )
+            .unwrap();
             let tweets = load_static(&db, 300, 1);
             assert_eq!(tweets.len(), 300);
             let hits = db

@@ -446,12 +446,7 @@ impl EngineShard {
 
     /// This shard's `LOOKUP`: dispatch to the index, the full-scan
     /// fallback, or an error. Hits come back newest-first, K-bounded.
-    fn lookup_attr(
-        &self,
-        attr: &str,
-        value: &AttrValue,
-        k: Option<usize>,
-    ) -> Result<Vec<LookupHit>> {
+    fn lookup(&self, attr: &str, value: &AttrValue, k: Option<usize>) -> Result<Vec<LookupHit>> {
         match self.index_for(attr) {
             Some(index) => index.lookup(&self.primary, value, k),
             None if self.unindexed.iter().any(|a| a == attr) => {
@@ -464,7 +459,7 @@ impl EngineShard {
     }
 
     /// This shard's `RANGELOOKUP` (range already validated by the router).
-    fn range_lookup_attr(
+    fn range_lookup(
         &self,
         attr: &str,
         lo: &AttrValue,
@@ -998,7 +993,8 @@ impl SecondaryDb {
     /// `LOOKUP(A, a, K)`: the K most recent records with `val(A) = a`,
     /// scattered across every shard and gathered newest-first.
     pub fn lookup(&self, attr: &str, value: &Value, k: Option<usize>) -> Result<Vec<LookupHit>> {
-        self.lookup_attr(attr, &attr_from_json(value)?, k)
+        self.lookup_mode(attr, value, k, ReadMode::Strict)
+            .map(|p| p.value)
     }
 
     /// [`SecondaryDb::lookup`] under an explicit [`ReadMode`]. In
@@ -1011,29 +1007,8 @@ impl SecondaryDb {
         k: Option<usize>,
         mode: ReadMode,
     ) -> Result<Partial<Vec<LookupHit>>> {
-        self.lookup_attr_mode(attr, &attr_from_json(value)?, k, mode)
-    }
-
-    /// Typed variant of [`SecondaryDb::lookup`].
-    pub fn lookup_attr(
-        &self,
-        attr: &str,
-        value: &AttrValue,
-        k: Option<usize>,
-    ) -> Result<Vec<LookupHit>> {
-        self.lookup_attr_mode(attr, value, k, ReadMode::Strict)
-            .map(|p| p.value)
-    }
-
-    /// Typed variant of [`SecondaryDb::lookup_mode`].
-    pub fn lookup_attr_mode(
-        &self,
-        attr: &str,
-        value: &AttrValue,
-        k: Option<usize>,
-        mode: ReadMode,
-    ) -> Result<Partial<Vec<LookupHit>>> {
-        let per_shard = self.scatter_mode(mode, |shard| shard.lookup_attr(attr, value, k))?;
+        let value = attr_from_json(value)?;
+        let per_shard = self.scatter_mode(mode, |shard| shard.lookup(attr, &value, k))?;
         Ok(Partial {
             value: merge_newest_first(per_shard.value, k, |h| h.seq),
             failed_shards: per_shard.failed_shards,
@@ -1050,7 +1025,8 @@ impl SecondaryDb {
         hi: &Value,
         k: Option<usize>,
     ) -> Result<Vec<LookupHit>> {
-        self.range_lookup_attr(attr, &attr_from_json(lo)?, &attr_from_json(hi)?, k)
+        self.range_lookup_mode(attr, lo, hi, k, ReadMode::Strict)
+            .map(|p| p.value)
     }
 
     /// [`SecondaryDb::range_lookup`] under an explicit [`ReadMode`].
@@ -1062,35 +1038,11 @@ impl SecondaryDb {
         k: Option<usize>,
         mode: ReadMode,
     ) -> Result<Partial<Vec<LookupHit>>> {
-        self.range_lookup_attr_mode(attr, &attr_from_json(lo)?, &attr_from_json(hi)?, k, mode)
-    }
-
-    /// Typed variant of [`SecondaryDb::range_lookup`].
-    pub fn range_lookup_attr(
-        &self,
-        attr: &str,
-        lo: &AttrValue,
-        hi: &AttrValue,
-        k: Option<usize>,
-    ) -> Result<Vec<LookupHit>> {
-        self.range_lookup_attr_mode(attr, lo, hi, k, ReadMode::Strict)
-            .map(|p| p.value)
-    }
-
-    /// Typed variant of [`SecondaryDb::range_lookup_mode`].
-    pub fn range_lookup_attr_mode(
-        &self,
-        attr: &str,
-        lo: &AttrValue,
-        hi: &AttrValue,
-        k: Option<usize>,
-        mode: ReadMode,
-    ) -> Result<Partial<Vec<LookupHit>>> {
+        let (lo, hi) = (attr_from_json(lo)?, attr_from_json(hi)?);
         if lo > hi {
             return Err(Error::invalid("inverted range"));
         }
-        let per_shard =
-            self.scatter_mode(mode, |shard| shard.range_lookup_attr(attr, lo, hi, k))?;
+        let per_shard = self.scatter_mode(mode, |shard| shard.range_lookup(attr, &lo, &hi, k))?;
         Ok(Partial {
             value: merge_newest_first(per_shard.value, k, |h| h.seq),
             failed_shards: per_shard.failed_shards,

@@ -181,6 +181,16 @@ fn all_kinds_deletes_hide_records() {
         db.flush().unwrap();
         let hits = db.lookup("UserID", &Value::str("u1"), Some(10)).unwrap();
         assert_eq!(hits.len(), 10, "{kind}");
+        // RANGELOOKUP hides them as well: a window of deleted records only
+        // is empty.
+        let window = db
+            .range_lookup("CreationTime", &Value::Int(20), &Value::Int(20), None)
+            .unwrap();
+        assert!(window.is_empty(), "{kind}: deleted tweet t20 in range");
+        let window = db
+            .range_lookup("CreationTime", &Value::Int(0), &Value::Int(49), None)
+            .unwrap();
+        assert_eq!(window.len(), 25, "{kind}");
     }
 }
 

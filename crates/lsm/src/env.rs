@@ -85,165 +85,173 @@ pub enum IoCategory {
     WalWrite,
 }
 
-/// Cumulative I/O and filter-probe counters for one table (one `Db`).
-///
-/// All counters are monotonically increasing; [`IoStats::snapshot`] captures
-/// a point-in-time copy so experiments can difference two snapshots around a
-/// phase.
-#[derive(Debug, Default)]
-pub struct IoStats {
+/// Declares every scalar I/O counter once and generates from that one list
+/// [`IoStats`], [`IoSnapshot`], [`IoStats::snapshot`],
+/// [`IoSnapshot::since`], the [`std::ops::Add`] impl and
+/// [`IoSnapshot::counters`], so a new counter joins all of them or none.
+/// Each entry is the [`IoStats`] field's doc, its name, and the
+/// [`IoSnapshot`] field's doc. `group_size_hist` is an array and is
+/// written out beside the generated fields.
+macro_rules! io_counters {
+    ($($(#[doc = $stats_doc:literal])* $name:ident => $snap_doc:literal,)*) => {
+        /// Cumulative I/O and filter-probe counters for one table (one `Db`).
+        ///
+        /// All counters are monotonically increasing; [`IoStats::snapshot`] captures
+        /// a point-in-time copy so experiments can difference two snapshots around a
+        /// phase.
+        #[derive(Debug, Default)]
+        pub struct IoStats {
+            $($(#[doc = $stats_doc])* pub $name: AtomicU64,)*
+            /// Histogram of group sizes, in logical batches per group commit.
+            /// Buckets count groups of size 1, 2, 3–4, 5–8, 9–16 and ≥ 17
+            /// respectively (see [`IoStats::group_size_bucket`]); the bucket for
+            /// a group's size is incremented once per group commit.
+            pub group_size_hist: [AtomicU64; 6],
+        }
+
+        /// A point-in-time copy of [`IoStats`]; each field freezes the counter of
+        /// the same name.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct IoSnapshot {
+            $(#[doc = $snap_doc] pub $name: u64,)*
+            /// Histogram of group sizes (buckets: 1, 2, 3–4, 5–8, 9–16, ≥ 17).
+            pub group_size_hist: [u64; 6],
+        }
+
+        impl IoStats {
+            /// Capture the current counter values.
+            pub fn snapshot(&self) -> IoSnapshot {
+                IoSnapshot {
+                    $($name: self.$name.load(Ordering::Relaxed),)*
+                    group_size_hist: std::array::from_fn(|i| {
+                        self.group_size_hist[i].load(Ordering::Relaxed)
+                    }),
+                }
+            }
+        }
+
+        impl IoSnapshot {
+            /// Counter-wise difference (`self - earlier`).
+            pub fn since(&self, earlier: &IoSnapshot) -> IoSnapshot {
+                IoSnapshot {
+                    $($name: self.$name - earlier.$name,)*
+                    group_size_hist: std::array::from_fn(|i| {
+                        self.group_size_hist[i] - earlier.group_size_hist[i]
+                    }),
+                }
+            }
+
+            /// Every scalar counter as `(field name, value)`, in declaration
+            /// order (`group_size_hist` is not included).
+            pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> {
+                [$((stringify!($name), self.$name)),*].into_iter()
+            }
+        }
+
+        impl std::ops::Add for IoSnapshot {
+            type Output = IoSnapshot;
+
+            /// Counter-wise sum.
+            fn add(self, b: IoSnapshot) -> IoSnapshot {
+                IoSnapshot {
+                    $($name: self.$name + b.$name,)*
+                    group_size_hist: std::array::from_fn(|i| {
+                        self.group_size_hist[i] + b.group_size_hist[i]
+                    }),
+                }
+            }
+        }
+    };
+}
+
+io_counters! {
     /// Count of data blocks fetched from storage for queries; incremented
     /// once per block read that missed (or bypassed) the block cache.
-    pub block_reads: AtomicU64,
+    block_reads => "Data blocks fetched from storage for queries (excludes cache hits).",
     /// Bytes (compressed, on-storage size) fetched by those query block
     /// reads; incremented together with `block_reads`.
-    pub block_read_bytes: AtomicU64,
+    block_read_bytes => "Bytes fetched for those block reads.",
     /// Count of query block requests served by the block cache;
     /// incremented once per cache hit (no storage read happened).
-    pub cache_hits: AtomicU64,
+    cache_hits => "Query block requests served by the block cache.",
     /// Count of SSTable footer/index loads caused by table-cache misses;
     /// incremented once per table opened. The lazy read path promises
     /// zero of these before an iterator's first seek.
-    pub table_opens: AtomicU64,
+    table_opens => "SSTable footer/index loads caused by table-cache misses.",
     /// Count of blocks read by compactions; incremented once per input
     /// block as compaction input iterators advance.
-    pub compaction_blocks_read: AtomicU64,
+    compaction_blocks_read => "Blocks read by compactions.",
     /// Bytes (on-storage size) read by compactions; incremented together
     /// with `compaction_blocks_read`.
-    pub compaction_bytes_read: AtomicU64,
+    compaction_bytes_read => "Bytes read by compactions.",
     /// Count of blocks written by compactions; incremented once per
     /// output block flushed by a compaction's table builder.
-    pub compaction_blocks_written: AtomicU64,
+    compaction_blocks_written => "Blocks written by compactions.",
     /// Bytes (on-storage size) written by compactions; incremented
     /// together with `compaction_blocks_written`.
-    pub compaction_bytes_written: AtomicU64,
+    compaction_bytes_written => "Bytes written by compactions.",
     /// Count of blocks written by memtable flushes; incremented once per
     /// output block while building an L0 table.
-    pub flush_blocks_written: AtomicU64,
+    flush_blocks_written => "Blocks written by memtable flushes.",
     /// Bytes (on-storage size) written by memtable flushes; incremented
     /// together with `flush_blocks_written`.
-    pub flush_bytes_written: AtomicU64,
+    flush_bytes_written => "Bytes written by memtable flushes.",
     /// Bytes of batch payload appended to the write-ahead log (excludes
     /// the log format's per-record framing); incremented once per
     /// successful group-commit WAL append.
-    pub wal_bytes_written: AtomicU64,
+    wal_bytes_written => "Bytes appended to the write-ahead log.",
     /// Count of bloom-filter membership probes; incremented once per
     /// filter consulted (CPU cost tracker — the paper notes this cost
     /// "cannot be neglected" for the Embedded Index).
-    pub bloom_checks: AtomicU64,
+    bloom_checks => "Bloom-filter membership probes.",
     /// Count of probes answered "definitely absent"; incremented when a
     /// bloom probe lets a read skip a block or file entirely.
-    pub bloom_negatives: AtomicU64,
+    bloom_negatives => "Probes answered \"definitely absent\".",
     /// Count of blocks skipped thanks to per-block zone maps; incremented
     /// once per block a range predicate pruned without reading it.
-    pub zonemap_prunes: AtomicU64,
+    zonemap_prunes => "Blocks skipped thanks to zone maps.",
     /// Count of whole files skipped thanks to file-level zone maps;
     /// incremented once per file pruned before any block I/O.
-    pub file_zonemap_prunes: AtomicU64,
+    file_zonemap_prunes => "Whole files skipped thanks to file-level zone maps.",
     /// Count of compactions run; incremented once per completed
     /// compaction (foreground or background).
-    pub compactions: AtomicU64,
+    compactions => "Number of compactions run.",
     /// Count of memtable flushes; incremented once per L0 table installed
     /// from a (frozen or live) memtable.
-    pub flushes: AtomicU64,
+    flushes => "Number of memtable flushes.",
     /// Count of faults injected by a [`FaultEnv`] mirroring into these
     /// stats; incremented once per injected failure (see
     /// [`FaultEnv::mirror_stats`]).
-    pub injected_faults: AtomicU64,
+    injected_faults => "Faults injected by a [`FaultEnv`] mirroring into these stats.",
     /// Count of WAL records replayed into the memtable while opening the
     /// database; incremented once per batch record during recovery.
-    pub wal_replays: AtomicU64,
+    wal_replays => "WAL records replayed into the memtable while opening the database.",
     /// Count of MANIFEST version edits applied while recovering the
     /// version state; incremented once per edit during open.
-    pub manifest_replays: AtomicU64,
+    manifest_replays => "MANIFEST version edits applied while recovering the version state.",
     /// Count of corruption events the salvaging WAL reader resynchronized
     /// past during recovery; incremented once per resync (permissive mode
     /// only; see `DbOptions::paranoid_checks`).
-    pub wal_records_salvaged: AtomicU64,
+    wal_records_salvaged => "Corruption events the salvaging WAL reader resynchronized past.",
     /// Bytes of WAL content dropped while resynchronizing past
     /// corruption; incremented by the skipped span per salvage event.
-    pub wal_bytes_dropped: AtomicU64,
+    wal_bytes_dropped => "WAL bytes dropped while resynchronizing past corruption.",
     /// Count of corrupt table blocks treated as absent by permissive
     /// reads instead of failing the query (the "absent-with-diagnostic"
     /// counter); incremented once per corrupt block skipped.
-    pub corrupt_blocks_skipped: AtomicU64,
+    corrupt_blocks_skipped => "Corrupt table blocks treated as absent by permissive reads.",
     /// Count of group commits: each is one leader round that appended one
     /// WAL record covering ≥ 1 logical batch; incremented once per round.
     /// `grouped_writes / group_commits` is the mean group size.
-    pub group_commits: AtomicU64,
+    group_commits => "Group commits (leader rounds, one WAL record each).",
     /// Count of logical batches committed through the group-commit queue
     /// (every `Db::put` / `delete` / `merge` / `write` is one logical
     /// batch); incremented by the group size once per group commit.
-    pub grouped_writes: AtomicU64,
+    grouped_writes => "Logical batches committed through the group-commit queue.",
     /// Count of WAL fsyncs issued by the write path; incremented once per
     /// group commit when `DbOptions::wal_sync` is on (zero otherwise —
     /// flush/compaction table syncs are not counted here).
-    pub wal_syncs: AtomicU64,
-    /// Histogram of group sizes, in logical batches per group commit.
-    /// Buckets count groups of size 1, 2, 3–4, 5–8, 9–16 and ≥ 17
-    /// respectively (see [`IoStats::group_size_bucket`]); the bucket for
-    /// a group's size is incremented once per group commit.
-    pub group_size_hist: [AtomicU64; 6],
-}
-
-/// A point-in-time copy of [`IoStats`]; each field freezes the counter of
-/// the same name.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IoSnapshot {
-    /// Data blocks fetched from storage for queries (excludes cache hits).
-    pub block_reads: u64,
-    /// Bytes fetched for those block reads.
-    pub block_read_bytes: u64,
-    /// Query block requests served by the block cache.
-    pub cache_hits: u64,
-    /// SSTable footer/index loads caused by table-cache misses.
-    pub table_opens: u64,
-    /// Blocks read by compactions.
-    pub compaction_blocks_read: u64,
-    /// Bytes read by compactions.
-    pub compaction_bytes_read: u64,
-    /// Blocks written by compactions.
-    pub compaction_blocks_written: u64,
-    /// Bytes written by compactions.
-    pub compaction_bytes_written: u64,
-    /// Blocks written by memtable flushes.
-    pub flush_blocks_written: u64,
-    /// Bytes written by memtable flushes.
-    pub flush_bytes_written: u64,
-    /// Bytes appended to the write-ahead log.
-    pub wal_bytes_written: u64,
-    /// Bloom-filter membership probes.
-    pub bloom_checks: u64,
-    /// Probes answered "definitely absent".
-    pub bloom_negatives: u64,
-    /// Blocks skipped thanks to zone maps.
-    pub zonemap_prunes: u64,
-    /// Whole files skipped thanks to file-level zone maps.
-    pub file_zonemap_prunes: u64,
-    /// Number of compactions run.
-    pub compactions: u64,
-    /// Number of memtable flushes.
-    pub flushes: u64,
-    /// Faults injected by a [`FaultEnv`] mirroring into these stats.
-    pub injected_faults: u64,
-    /// WAL records replayed into the memtable while opening the database.
-    pub wal_replays: u64,
-    /// MANIFEST version edits applied while recovering the version state.
-    pub manifest_replays: u64,
-    /// Corruption events the salvaging WAL reader resynchronized past.
-    pub wal_records_salvaged: u64,
-    /// WAL bytes dropped while resynchronizing past corruption.
-    pub wal_bytes_dropped: u64,
-    /// Corrupt table blocks treated as absent by permissive reads.
-    pub corrupt_blocks_skipped: u64,
-    /// Group commits (leader rounds, one WAL record each).
-    pub group_commits: u64,
-    /// Logical batches committed through the group-commit queue.
-    pub grouped_writes: u64,
-    /// WAL fsyncs issued by the write path.
-    pub wal_syncs: u64,
-    /// Histogram of group sizes (buckets: 1, 2, 3–4, 5–8, 9–16, ≥ 17).
-    pub group_size_hist: [u64; 6],
+    wal_syncs => "WAL fsyncs issued by the write path.",
 }
 
 impl IoSnapshot {
@@ -263,9 +271,7 @@ impl IoSnapshot {
     /// helper for everything that reports across several tables at once:
     /// a [`crate::db::Db`] per engine shard, or one per stand-alone index.
     /// An empty iterator yields the zero snapshot, so callers need no
-    /// special case for "no shards / no indexes". Built on the
-    /// [`std::ops::Add`] impl below, which is kept field-exhaustive next
-    /// to [`IoSnapshot::since`] so a new counter joins all three or none.
+    /// special case for "no shards / no indexes".
     pub fn merge<I>(snapshots: I) -> IoSnapshot
     where
         I: IntoIterator<Item = IoSnapshot>,
@@ -274,124 +280,12 @@ impl IoSnapshot {
             .into_iter()
             .fold(IoSnapshot::default(), |acc, s| acc + s)
     }
-
-    /// Counter-wise difference (`self - earlier`).
-    pub fn since(&self, earlier: &IoSnapshot) -> IoSnapshot {
-        IoSnapshot {
-            block_reads: self.block_reads - earlier.block_reads,
-            block_read_bytes: self.block_read_bytes - earlier.block_read_bytes,
-            cache_hits: self.cache_hits - earlier.cache_hits,
-            table_opens: self.table_opens - earlier.table_opens,
-            compaction_blocks_read: self.compaction_blocks_read - earlier.compaction_blocks_read,
-            compaction_bytes_read: self.compaction_bytes_read - earlier.compaction_bytes_read,
-            compaction_blocks_written: self.compaction_blocks_written
-                - earlier.compaction_blocks_written,
-            compaction_bytes_written: self.compaction_bytes_written
-                - earlier.compaction_bytes_written,
-            flush_blocks_written: self.flush_blocks_written - earlier.flush_blocks_written,
-            flush_bytes_written: self.flush_bytes_written - earlier.flush_bytes_written,
-            wal_bytes_written: self.wal_bytes_written - earlier.wal_bytes_written,
-            bloom_checks: self.bloom_checks - earlier.bloom_checks,
-            bloom_negatives: self.bloom_negatives - earlier.bloom_negatives,
-            zonemap_prunes: self.zonemap_prunes - earlier.zonemap_prunes,
-            file_zonemap_prunes: self.file_zonemap_prunes - earlier.file_zonemap_prunes,
-            compactions: self.compactions - earlier.compactions,
-            flushes: self.flushes - earlier.flushes,
-            injected_faults: self.injected_faults - earlier.injected_faults,
-            wal_replays: self.wal_replays - earlier.wal_replays,
-            manifest_replays: self.manifest_replays - earlier.manifest_replays,
-            wal_records_salvaged: self.wal_records_salvaged - earlier.wal_records_salvaged,
-            wal_bytes_dropped: self.wal_bytes_dropped - earlier.wal_bytes_dropped,
-            corrupt_blocks_skipped: self.corrupt_blocks_skipped - earlier.corrupt_blocks_skipped,
-            group_commits: self.group_commits - earlier.group_commits,
-            grouped_writes: self.grouped_writes - earlier.grouped_writes,
-            wal_syncs: self.wal_syncs - earlier.wal_syncs,
-            group_size_hist: std::array::from_fn(|i| {
-                self.group_size_hist[i] - earlier.group_size_hist[i]
-            }),
-        }
-    }
-}
-
-impl std::ops::Add for IoSnapshot {
-    type Output = IoSnapshot;
-
-    /// Counter-wise sum — kept next to [`IoSnapshot::since`] so a new
-    /// counter field is added to both or neither.
-    fn add(self, b: IoSnapshot) -> IoSnapshot {
-        IoSnapshot {
-            block_reads: self.block_reads + b.block_reads,
-            block_read_bytes: self.block_read_bytes + b.block_read_bytes,
-            cache_hits: self.cache_hits + b.cache_hits,
-            table_opens: self.table_opens + b.table_opens,
-            compaction_blocks_read: self.compaction_blocks_read + b.compaction_blocks_read,
-            compaction_bytes_read: self.compaction_bytes_read + b.compaction_bytes_read,
-            compaction_blocks_written: self.compaction_blocks_written + b.compaction_blocks_written,
-            compaction_bytes_written: self.compaction_bytes_written + b.compaction_bytes_written,
-            flush_blocks_written: self.flush_blocks_written + b.flush_blocks_written,
-            flush_bytes_written: self.flush_bytes_written + b.flush_bytes_written,
-            wal_bytes_written: self.wal_bytes_written + b.wal_bytes_written,
-            bloom_checks: self.bloom_checks + b.bloom_checks,
-            bloom_negatives: self.bloom_negatives + b.bloom_negatives,
-            zonemap_prunes: self.zonemap_prunes + b.zonemap_prunes,
-            file_zonemap_prunes: self.file_zonemap_prunes + b.file_zonemap_prunes,
-            compactions: self.compactions + b.compactions,
-            flushes: self.flushes + b.flushes,
-            injected_faults: self.injected_faults + b.injected_faults,
-            wal_replays: self.wal_replays + b.wal_replays,
-            manifest_replays: self.manifest_replays + b.manifest_replays,
-            wal_records_salvaged: self.wal_records_salvaged + b.wal_records_salvaged,
-            wal_bytes_dropped: self.wal_bytes_dropped + b.wal_bytes_dropped,
-            corrupt_blocks_skipped: self.corrupt_blocks_skipped + b.corrupt_blocks_skipped,
-            group_commits: self.group_commits + b.group_commits,
-            grouped_writes: self.grouped_writes + b.grouped_writes,
-            wal_syncs: self.wal_syncs + b.wal_syncs,
-            group_size_hist: std::array::from_fn(|i| {
-                self.group_size_hist[i] + b.group_size_hist[i]
-            }),
-        }
-    }
 }
 
 impl IoStats {
     /// New zeroed counters.
     pub fn new() -> Arc<IoStats> {
         Arc::new(IoStats::default())
-    }
-
-    /// Capture the current counter values.
-    pub fn snapshot(&self) -> IoSnapshot {
-        IoSnapshot {
-            block_reads: self.block_reads.load(Ordering::Relaxed),
-            block_read_bytes: self.block_read_bytes.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            table_opens: self.table_opens.load(Ordering::Relaxed),
-            compaction_blocks_read: self.compaction_blocks_read.load(Ordering::Relaxed),
-            compaction_bytes_read: self.compaction_bytes_read.load(Ordering::Relaxed),
-            compaction_blocks_written: self.compaction_blocks_written.load(Ordering::Relaxed),
-            compaction_bytes_written: self.compaction_bytes_written.load(Ordering::Relaxed),
-            flush_blocks_written: self.flush_blocks_written.load(Ordering::Relaxed),
-            flush_bytes_written: self.flush_bytes_written.load(Ordering::Relaxed),
-            wal_bytes_written: self.wal_bytes_written.load(Ordering::Relaxed),
-            bloom_checks: self.bloom_checks.load(Ordering::Relaxed),
-            bloom_negatives: self.bloom_negatives.load(Ordering::Relaxed),
-            zonemap_prunes: self.zonemap_prunes.load(Ordering::Relaxed),
-            file_zonemap_prunes: self.file_zonemap_prunes.load(Ordering::Relaxed),
-            compactions: self.compactions.load(Ordering::Relaxed),
-            flushes: self.flushes.load(Ordering::Relaxed),
-            injected_faults: self.injected_faults.load(Ordering::Relaxed),
-            wal_replays: self.wal_replays.load(Ordering::Relaxed),
-            manifest_replays: self.manifest_replays.load(Ordering::Relaxed),
-            wal_records_salvaged: self.wal_records_salvaged.load(Ordering::Relaxed),
-            wal_bytes_dropped: self.wal_bytes_dropped.load(Ordering::Relaxed),
-            corrupt_blocks_skipped: self.corrupt_blocks_skipped.load(Ordering::Relaxed),
-            group_commits: self.group_commits.load(Ordering::Relaxed),
-            grouped_writes: self.grouped_writes.load(Ordering::Relaxed),
-            wal_syncs: self.wal_syncs.load(Ordering::Relaxed),
-            group_size_hist: std::array::from_fn(|i| {
-                self.group_size_hist[i].load(Ordering::Relaxed)
-            }),
-        }
     }
 
     /// Bump a counter by `n` (relaxed; counters are advisory).

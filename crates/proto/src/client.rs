@@ -144,47 +144,30 @@ impl Client {
         Response::decode(&payload)
     }
 
-    fn expect_unit(resp: Response) -> Result<()> {
-        match resp {
-            Response::Ok => Ok(()),
-            Response::Err { code, message, .. } => Err(code.to_error(&message)),
-            other => Err(Error::corruption(format!("unexpected response {other:?}"))),
-        }
-    }
-
     /// Bind this connection to retry session `session_id` (the server
     /// starts deduplicating write request ids under it).
     pub fn hello(&mut self, session_id: u64) -> Result<()> {
-        let resp = self.call(&Request::Hello { session_id })?;
-        Self::expect_unit(resp)
+        self.call(&Request::Hello { session_id })?.into_unit()
     }
 
     /// `PUT(k, v)`: store `doc` (serialized JSON) under `pk`, returning
     /// the committed sequence number.
     pub fn put(&mut self, pk: &[u8], doc: &[u8]) -> Result<u64> {
-        match self.call(&Request::Put {
+        self.call(&Request::Put {
             pk: pk.to_vec(),
             doc: doc.to_vec(),
-        })? {
-            Response::Seq(seq) => Ok(seq),
-            Response::Err { code, message, .. } => Err(code.to_error(&message)),
-            other => Err(Error::corruption(format!("unexpected response {other:?}"))),
-        }
+        })?
+        .into_seq()
     }
 
     /// `GET(k)`: fetch the serialized document under `pk`, if present.
     pub fn get(&mut self, pk: &[u8]) -> Result<Option<Vec<u8>>> {
-        match self.call(&Request::Get { pk: pk.to_vec() })? {
-            Response::Doc(doc) => Ok(doc),
-            Response::Err { code, message, .. } => Err(code.to_error(&message)),
-            other => Err(Error::corruption(format!("unexpected response {other:?}"))),
-        }
+        self.call(&Request::Get { pk: pk.to_vec() })?.into_doc()
     }
 
     /// `DEL(k)`.
     pub fn del(&mut self, pk: &[u8]) -> Result<()> {
-        let resp = self.call(&Request::Del { pk: pk.to_vec() })?;
-        Self::expect_unit(resp)
+        self.call(&Request::Del { pk: pk.to_vec() })?.into_unit()
     }
 
     /// `LOOKUP(A, a, K)`: top-K newest records with `val(A) = a`.
@@ -203,19 +186,13 @@ impl Client {
         k: Option<u64>,
         degraded: bool,
     ) -> Result<(Vec<Hit>, Vec<u64>)> {
-        match self.call(&Request::Lookup {
+        self.call(&Request::Lookup {
             attr: attr.to_string(),
             value,
             k,
             degraded,
-        })? {
-            Response::Hits {
-                hits,
-                failed_shards,
-            } => Ok((hits, failed_shards)),
-            Response::Err { code, message, .. } => Err(code.to_error(&message)),
-            other => Err(Error::corruption(format!("unexpected response {other:?}"))),
-        }
+        })?
+        .into_hits()
     }
 
     /// `RANGELOOKUP(A, a, b, K)`: top-K newest with `a ≤ val(A) ≤ b`.
@@ -240,46 +217,32 @@ impl Client {
         k: Option<u64>,
         degraded: bool,
     ) -> Result<(Vec<Hit>, Vec<u64>)> {
-        match self.call(&Request::RangeLookup {
+        self.call(&Request::RangeLookup {
             attr: attr.to_string(),
             lo,
             hi,
             k,
             degraded,
-        })? {
-            Response::Hits {
-                hits,
-                failed_shards,
-            } => Ok((hits, failed_shards)),
-            Response::Err { code, message, .. } => Err(code.to_error(&message)),
-            other => Err(Error::corruption(format!("unexpected response {other:?}"))),
-        }
+        })?
+        .into_hits()
     }
 
     /// Apply several writes in one round trip. Returns
     /// `(applied, last_seq)`.
     pub fn batch(&mut self, ops: Vec<WriteOp>) -> Result<(u64, u64)> {
-        match self.call(&Request::Batch { ops })? {
-            Response::Batch { applied, last_seq } => Ok((applied, last_seq)),
-            Response::Err { code, message, .. } => Err(code.to_error(&message)),
-            other => Err(Error::corruption(format!("unexpected response {other:?}"))),
-        }
+        self.call(&Request::Batch { ops })?.into_batch()
     }
 
     /// Fetch the server's stats JSON. With `include_integrity` the server
     /// quiesces background work and runs the structural checker first.
     pub fn stats(&mut self, include_integrity: bool) -> Result<String> {
-        match self.call(&Request::Stats { include_integrity })? {
-            Response::Stats(json) => Ok(json),
-            Response::Err { code, message, .. } => Err(code.to_error(&message)),
-            other => Err(Error::corruption(format!("unexpected response {other:?}"))),
-        }
+        self.call(&Request::Stats { include_integrity })?
+            .into_stats()
     }
 
     /// Ask the server to shut down gracefully. Returns once the server
     /// has drained in-flight requests, flushed, and acked.
     pub fn shutdown(&mut self) -> Result<()> {
-        let resp = self.call(&Request::Shutdown)?;
-        Self::expect_unit(resp)
+        self.call(&Request::Shutdown)?.into_unit()
     }
 }

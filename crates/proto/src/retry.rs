@@ -231,47 +231,28 @@ impl RetryClient {
         }
     }
 
-    fn unexpected(other: Response) -> Error {
-        Error::corruption(format!("unexpected response {other:?}"))
-    }
-
     /// `PUT(k, v)` with retries; exactly-once within the dedup window.
     pub fn put(&mut self, pk: &[u8], doc: &[u8]) -> Result<u64> {
-        match self.call(&Request::Put {
+        self.call(&Request::Put {
             pk: pk.to_vec(),
             doc: doc.to_vec(),
-        })? {
-            Response::Seq(seq) => Ok(seq),
-            Response::Err { code, message, .. } => Err(code.to_error(&message)),
-            other => Err(Self::unexpected(other)),
-        }
+        })?
+        .into_seq()
     }
 
     /// `GET(k)` with retries.
     pub fn get(&mut self, pk: &[u8]) -> Result<Option<Vec<u8>>> {
-        match self.call(&Request::Get { pk: pk.to_vec() })? {
-            Response::Doc(doc) => Ok(doc),
-            Response::Err { code, message, .. } => Err(code.to_error(&message)),
-            other => Err(Self::unexpected(other)),
-        }
+        self.call(&Request::Get { pk: pk.to_vec() })?.into_doc()
     }
 
     /// `DEL(k)` with retries; exactly-once within the dedup window.
     pub fn del(&mut self, pk: &[u8]) -> Result<()> {
-        match self.call(&Request::Del { pk: pk.to_vec() })? {
-            Response::Ok => Ok(()),
-            Response::Err { code, message, .. } => Err(code.to_error(&message)),
-            other => Err(Self::unexpected(other)),
-        }
+        self.call(&Request::Del { pk: pk.to_vec() })?.into_unit()
     }
 
     /// `BATCH` with retries; the whole batch is one idempotency unit.
     pub fn batch(&mut self, ops: Vec<WriteOp>) -> Result<(u64, u64)> {
-        match self.call(&Request::Batch { ops })? {
-            Response::Batch { applied, last_seq } => Ok((applied, last_seq)),
-            Response::Err { code, message, .. } => Err(code.to_error(&message)),
-            other => Err(Self::unexpected(other)),
-        }
+        self.call(&Request::Batch { ops })?.into_batch()
     }
 
     /// `LOOKUP` with retries (reads are naturally idempotent).
@@ -288,19 +269,13 @@ impl RetryClient {
         k: Option<u64>,
         degraded: bool,
     ) -> Result<(Vec<Hit>, Vec<u64>)> {
-        match self.call(&Request::Lookup {
+        self.call(&Request::Lookup {
             attr: attr.to_string(),
             value,
             k,
             degraded,
-        })? {
-            Response::Hits {
-                hits,
-                failed_shards,
-            } => Ok((hits, failed_shards)),
-            Response::Err { code, message, .. } => Err(code.to_error(&message)),
-            other => Err(Self::unexpected(other)),
-        }
+        })?
+        .into_hits()
     }
 
     /// `RANGELOOKUP` with retries.
@@ -324,29 +299,20 @@ impl RetryClient {
         k: Option<u64>,
         degraded: bool,
     ) -> Result<(Vec<Hit>, Vec<u64>)> {
-        match self.call(&Request::RangeLookup {
+        self.call(&Request::RangeLookup {
             attr: attr.to_string(),
             lo,
             hi,
             k,
             degraded,
-        })? {
-            Response::Hits {
-                hits,
-                failed_shards,
-            } => Ok((hits, failed_shards)),
-            Response::Err { code, message, .. } => Err(code.to_error(&message)),
-            other => Err(Self::unexpected(other)),
-        }
+        })?
+        .into_hits()
     }
 
     /// `STATS` with retries.
     pub fn server_stats(&mut self, include_integrity: bool) -> Result<String> {
-        match self.call(&Request::Stats { include_integrity })? {
-            Response::Stats(json) => Ok(json),
-            Response::Err { code, message, .. } => Err(code.to_error(&message)),
-            other => Err(Self::unexpected(other)),
-        }
+        self.call(&Request::Stats { include_integrity })?
+            .into_stats()
     }
 }
 

@@ -576,42 +576,17 @@ fn to_wire_hits(hits: Vec<ldbpp_core::indexes::LookupHit>) -> Vec<Hit> {
 }
 
 fn io_to_value(io: &IoSnapshot) -> Value {
-    Value::object([
-        ("block_reads", Value::Int(io.block_reads as i64)),
-        ("block_read_bytes", Value::Int(io.block_read_bytes as i64)),
-        ("cache_hits", Value::Int(io.cache_hits as i64)),
-        ("table_opens", Value::Int(io.table_opens as i64)),
-        ("flushes", Value::Int(io.flushes as i64)),
-        (
-            "flush_bytes_written",
-            Value::Int(io.flush_bytes_written as i64),
-        ),
-        ("compactions", Value::Int(io.compactions as i64)),
-        (
-            "compaction_bytes_read",
-            Value::Int(io.compaction_bytes_read as i64),
-        ),
-        (
-            "compaction_bytes_written",
-            Value::Int(io.compaction_bytes_written as i64),
-        ),
-        ("wal_bytes_written", Value::Int(io.wal_bytes_written as i64)),
-        ("wal_syncs", Value::Int(io.wal_syncs as i64)),
-        ("group_commits", Value::Int(io.group_commits as i64)),
-        ("grouped_writes", Value::Int(io.grouped_writes as i64)),
-        ("bloom_checks", Value::Int(io.bloom_checks as i64)),
-        ("bloom_negatives", Value::Int(io.bloom_negatives as i64)),
-        ("zonemap_prunes", Value::Int(io.zonemap_prunes as i64)),
-        (
-            "group_size_hist",
-            Value::Array(
-                io.group_size_hist
-                    .iter()
-                    .map(|&n| Value::Int(n as i64))
-                    .collect(),
-            ),
-        ),
-    ])
+    let hist = Value::Array(
+        io.group_size_hist
+            .iter()
+            .map(|&n| Value::Int(n as i64))
+            .collect(),
+    );
+    Value::object(
+        io.counters()
+            .map(|(name, n)| (name, Value::Int(n as i64)))
+            .chain([("group_size_hist", hist)]),
+    )
 }
 
 fn stats_json(db: &SecondaryDb, include_integrity: bool, server: Option<Value>) -> Result<String> {

@@ -321,6 +321,67 @@ impl Response {
             failed_shards: Vec::new(),
         }
     }
+
+    /// The error a reply stands for when it is not the shape the caller
+    /// expected: an error reply becomes its engine error, any other
+    /// shape a corruption error.
+    fn into_error(self) -> Error {
+        match self {
+            Response::Err { code, message, .. } => code.to_error(&message),
+            other => Error::corruption(format!("unexpected response {other:?}")),
+        }
+    }
+
+    /// Decode a `PUT` ack: the committed sequence number.
+    pub(crate) fn into_seq(self) -> Result<u64> {
+        match self {
+            Response::Seq(seq) => Ok(seq),
+            other => Err(other.into_error()),
+        }
+    }
+
+    /// Decode a `GET` reply (`None` = key absent).
+    pub(crate) fn into_doc(self) -> Result<Option<Vec<u8>>> {
+        match self {
+            Response::Doc(doc) => Ok(doc),
+            other => Err(other.into_error()),
+        }
+    }
+
+    /// Decode a payload-free success (`HELLO`, `DEL`, `SHUTDOWN`).
+    pub(crate) fn into_unit(self) -> Result<()> {
+        match self {
+            Response::Ok => Ok(()),
+            other => Err(other.into_error()),
+        }
+    }
+
+    /// Decode a `LOOKUP`/`RANGELOOKUP` reply: `(hits, failed_shards)`.
+    pub(crate) fn into_hits(self) -> Result<(Vec<Hit>, Vec<u64>)> {
+        match self {
+            Response::Hits {
+                hits,
+                failed_shards,
+            } => Ok((hits, failed_shards)),
+            other => Err(other.into_error()),
+        }
+    }
+
+    /// Decode a `BATCH` ack: `(applied, last_seq)`.
+    pub(crate) fn into_batch(self) -> Result<(u64, u64)> {
+        match self {
+            Response::Batch { applied, last_seq } => Ok((applied, last_seq)),
+            other => Err(other.into_error()),
+        }
+    }
+
+    /// Decode a `STATS` reply: the stats JSON.
+    pub(crate) fn into_stats(self) -> Result<String> {
+        match self {
+            Response::Stats(json) => Ok(json),
+            other => Err(other.into_error()),
+        }
+    }
 }
 
 // -- kind bytes -------------------------------------------------------------

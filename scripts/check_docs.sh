@@ -5,7 +5,10 @@
 #      time, so public API docs cannot regress silently);
 #   2. every relative markdown link (and intra-file anchor) in the
 #      top-level *.md files must resolve;
-#   3. load-bearing sections must exist: DESIGN.md must keep §14
+#   3. no tracked *.md file says `cargo bench` (there are no bench
+#      targets: `repro` regenerates every figure, `benchmark/` gates wall
+#      clock) or names an `--example` missing from examples/;
+#   4. load-bearing sections must exist: DESIGN.md must keep §14
 #      (write-path concurrency / group commit), §15 (sharding), §16
 #      (the networked service layer), §17 (model checking), and §18
 #      (the network failure model), and the README must keep describing
@@ -61,6 +64,39 @@ if errors:
     print("\n".join(errors))
     sys.exit(1)
 print(f"all markdown links resolve")
+PYEOF
+
+echo "== harness commands named in docs exist =="
+python3 - <<'PYEOF'
+import os, re, subprocess, sys
+
+try:
+    docs = subprocess.run(["git", "ls-files", "*.md"], capture_output=True,
+                          text=True, check=True).stdout.split()
+except (OSError, subprocess.CalledProcessError):
+    # Not a git checkout (an exported tree): every *.md but build output.
+    docs = []
+    for d, subdirs, files in os.walk("."):
+        subdirs[:] = [s for s in subdirs if s not in ("target", ".bench_build", "out")]
+        docs += [os.path.join(d, f)[2:] for f in files if f.endswith(".md")]
+examples = {f[:-3] for f in os.listdir("examples") if f.endswith(".rs")}
+errors = []
+for md in docs:
+    with open(md, encoding="utf-8") as f:
+        lines = f.read().splitlines()
+    # A change request names what it removes; it describes no current tree.
+    if "## Acceptance criteria" in lines:
+        continue
+    for n, line in enumerate(lines, 1):
+        if "cargo bench" in line:
+            errors.append(f"{md}:{n}: says `cargo bench`, but there are no bench targets")
+        for name in re.findall(r"--example[ =]+([A-Za-z0-9_]+)", line):
+            if name not in examples:
+                errors.append(f"{md}:{n}: names --example {name}, not in examples/")
+if errors:
+    print("\n".join(errors))
+    sys.exit(1)
+print(f"{len(docs)} markdown files name only existing harness commands")
 PYEOF
 
 echo "== required sections =="

@@ -2,8 +2,8 @@
 # The full CI gate, run from anywhere inside the repo:
 #   1. formatting (`cargo fmt --check`);
 #   2. lints (`cargo clippy`, all targets, warnings are errors);
-#   3. tier-1 tests: release build + the root-package suite (the seed's
-#      acceptance gate), then the full workspace suite;
+#   3. tier-1 tests: release build + `cargo test -q`, which runs every
+#      crate's tests (the workspace's default-members are all of them);
 #   4. crash-recovery sweep: the fault-injection harnesses in
 #      crates/lsm/tests/crash.rs and crates/core/tests/crash_secondary.rs,
 #      which crash a scripted workload at every I/O-operation index and
@@ -55,13 +55,15 @@
 #      fails when the oracle rejects a result (`correct: false`) or any
 #      operation failed. No timing is gated here — the driver compares
 #      full runs against the parent commit;
-#  12. documentation (`scripts/check_docs.sh`: rustdoc with -D warnings
-#      plus markdown link check, and grep gates pinning DESIGN.md §14,
+#  12. documentation (`scripts/check_docs.sh`: rustdoc with -D warnings,
+#      markdown link check, no doc naming `cargo bench` or a missing
+#      `--example`, and grep gates pinning DESIGN.md §14,
 #      §15, §16, §18 + the README's group-commit, sharding, server,
 #      and chaos coverage);
 #  13. line count (`scripts/loc.sh`): non-test lines of crates/lsm/src and
-#      crates/core/src and their total — informational, never fails, so
-#      the ROADMAP's line-count criteria come from a command.
+#      crates/core/src, their total, and the total for all Rust outside
+#      benchmark/ — informational, never fails, so the ROADMAP's
+#      line-count criteria come from a command.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -77,14 +79,11 @@ echo "== lint gate (scripts/lint.sh) =="
 echo "== tier-1: release build =="
 cargo build --release --quiet
 
-echo "== tier-1: root-package tests =="
+echo "== tier-1: every crate's tests =="
 cargo test -q
 
-echo "== workspace tests =="
-cargo test --workspace -q
-
 echo "== concurrency sanitizer: tier-1 + engine suites with --features check =="
-cargo test -q --features check
+cargo test -q -p leveldbpp --features check
 cargo test -q -p parking_lot --features check
 cargo test -q -p ldbpp-lsm --features check
 
@@ -97,13 +96,13 @@ CRASH_SWEEP_FULL="${CRASH_SWEEP_FULL:-0}" cargo test -q -p ldbpp-core --test cra
 
 echo "== contended-writer smoke: group commit under multi-writer load =="
 cargo test -q -p ldbpp-lsm --test group_commit_test
-cargo test -q --test concurrency contended_
+cargo test -q -p leveldbpp --test concurrency contended_
 cargo test -q -p ldbpp-bench --release write_scaling
 
 echo "== sharded smoke: facade suites at LDBPP_SHARDS=2 =="
-LDBPP_SHARDS=2 cargo test -q --test concurrency
-LDBPP_SHARDS=2 cargo test -q --test crash_smoke
-LDBPP_SHARDS=2 cargo test -q --features check --test concurrency
+LDBPP_SHARDS=2 cargo test -q -p leveldbpp --test concurrency
+LDBPP_SHARDS=2 cargo test -q -p leveldbpp --test crash_smoke
+LDBPP_SHARDS=2 cargo test -q -p leveldbpp --features check --test concurrency
 
 echo "== sharded smoke: seed a 2-shard db on disk and check it =="
 sharded_dir="$(mktemp -d)"
@@ -114,7 +113,7 @@ cleanup() {
     rm -rf "$sharded_dir" "$server_dir"
 }
 trap cleanup EXIT
-LDBPP_SHARDS=2 cargo run --release --quiet --example seed_db -- "$sharded_dir/db" 300
+LDBPP_SHARDS=2 cargo run --release --quiet -p leveldbpp --example seed_db -- "$sharded_dir/db" 300
 test -f "$sharded_dir/db/LAYOUT" || { echo "seed_db: no LAYOUT descriptor"; exit 1; }
 ./target/release/ldbpp_tool check "$sharded_dir/db"
 
@@ -142,7 +141,7 @@ wait "$server_pid"
 server_pid=""
 ./target/release/ldbpp_tool check "$server_dir/db"
 # One sanitizer-instrumented pass of the 8-client e2e harness.
-cargo test -q --features check --test server_e2e
+cargo test -q -p leveldbpp --features check --test server_e2e
 
 echo "== chaos smoke: faulted wire traffic against a real ldbpp_server process =="
 # Same recipe as the server smoke, but the traffic goes through the

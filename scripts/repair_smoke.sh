@@ -14,7 +14,7 @@ DB="$WORK/db"
 cargo build --release --quiet --bin ldbpp_tool
 TOOL=target/release/ldbpp_tool
 
-cargo run --release --quiet --example seed_db -- "$DB" 400 >/dev/null
+cargo run --release --quiet -p leveldbpp --example seed_db -- "$DB" 400 >/dev/null
 [ -f "$DB/CURRENT" ] || { echo "repair smoke: failed to seed database"; exit 1; }
 
 # Healthy database: repair is a clean no-op (exit 0) and check agrees.

@@ -11,7 +11,9 @@ use std::thread;
 use std::time::Duration;
 
 use ldbpp_proto::{Client, WireValue};
-use leveldbpp::{DbOptions, Document, IndexKind, MemEnv, SecondaryDb, SecondaryDbOptions, Value};
+use leveldbpp::{
+    DbOptions, Document, IndexKind, IoSnapshot, MemEnv, SecondaryDb, SecondaryDbOptions, Value,
+};
 
 const THREADS: usize = 8;
 const KEYS_PER_THREAD: usize = 60;
@@ -219,9 +221,20 @@ fn eight_concurrent_clients_match_serial_oracle() {
         Some(Value::Bool(true)),
         "integrity dirty: {stats:?}"
     );
-    let wal_bytes = stats
-        .get("merged_io")
-        .and_then(|io| io.get("wal_bytes_written"))
+    let merged_io = stats.get("merged_io").expect("merged_io");
+    // Every IoSnapshot counter is reported, not a hand-picked subset.
+    for (name, _) in IoSnapshot::default().counters() {
+        assert!(
+            merged_io.get(name).and_then(Value::as_int).is_some(),
+            "merged_io lacks counter {name}: {merged_io:?}"
+        );
+    }
+    assert!(
+        merged_io.get("group_size_hist").is_some(),
+        "merged_io lacks group_size_hist"
+    );
+    let wal_bytes = merged_io
+        .get("wal_bytes_written")
         .and_then(Value::as_int)
         .expect("merged_io.wal_bytes_written");
     assert!(wal_bytes > 0, "writes must have hit the WAL");

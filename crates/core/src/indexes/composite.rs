@@ -8,7 +8,6 @@
 //! decided — the paper's explanation for Composite losing to Lazy at small
 //! top-K.
 
-use crate::doc::Document;
 use crate::indexes::{fetch_if_valid, IndexKind, LookupHit, SecondaryIndex};
 use ldbpp_common::coding::{decode_fixed64, put_fixed64};
 use ldbpp_common::Result;
@@ -80,7 +79,7 @@ impl CompositeIndex {
         primary: &Db,
         mut candidates: Vec<(AttrValue, Vec<u8>, u64)>,
         k: Option<usize>,
-        pred: impl Fn(&Document) -> bool,
+        pred: impl Fn(&AttrValue) -> bool,
     ) -> Result<Vec<LookupHit>> {
         // Unlike Lazy, the candidates only become time-ordered after the
         // full scan; sort by recency, then validate until K hits. A pk can
@@ -96,7 +95,7 @@ impl CompositeIndex {
             if !seen.insert(pk.clone()) {
                 continue;
             }
-            if let Some(doc) = fetch_if_valid(primary, &pk, &pred)? {
+            if let Some(doc) = fetch_if_valid(primary, &pk, &self.attr, &pred)? {
                 hits.push(LookupHit { key: pk, seq, doc });
             }
         }
@@ -159,9 +158,7 @@ impl SecondaryIndex for CompositeIndex {
 
     fn lookup(&self, primary: &Db, value: &AttrValue, k: Option<usize>) -> Result<Vec<LookupHit>> {
         let candidates = self.scan(value, value)?;
-        self.resolve(primary, candidates, k, |d| {
-            d.attr(&self.attr).as_ref() == Some(value)
-        })
+        self.resolve(primary, candidates, k, |v| v == value)
     }
 
     fn range_lookup(
@@ -172,11 +169,7 @@ impl SecondaryIndex for CompositeIndex {
         k: Option<usize>,
     ) -> Result<Vec<LookupHit>> {
         let candidates = self.scan(lo, hi)?;
-        let (lo, hi) = (lo.clone(), hi.clone());
-        self.resolve(primary, candidates, k, move |d| match d.attr(&self.attr) {
-            Some(v) => lo <= v && v <= hi,
-            None => false,
-        })
+        self.resolve(primary, candidates, k, |v| lo <= v && v <= hi)
     }
 
     fn tree(&self) -> Option<(u32, &Arc<Db>)> {

@@ -6,7 +6,6 @@
 //! updated list") — which is why the paper finds its write amplification
 //! explodes (`WAMF = PL_S · 2·(N+1)·(L−1)`).
 
-use crate::doc::Document;
 use crate::indexes::posting::{decode_postings, encode_postings, fold_postings, Posting};
 use crate::indexes::{fetch_if_valid, IndexKind, LookupHit, SecondaryIndex};
 use crate::topk::TopK;
@@ -109,9 +108,7 @@ impl SecondaryIndex for EagerIndex {
             if p.deleted {
                 continue;
             }
-            if let Some(doc) = fetch_if_valid(primary, &p.pk, |d| {
-                d.attr(&self.attr).as_ref() == Some(value)
-            })? {
+            if let Some(doc) = fetch_if_valid(primary, &p.pk, &self.attr, |v| v == value)? {
                 hits.push(LookupHit {
                     key: p.pk,
                     seq: p.seq,
@@ -161,10 +158,7 @@ impl SecondaryIndex for EagerIndex {
                 }
             }
         }
-        let in_range = |d: &Document| match d.attr(&self.attr) {
-            Some(v) => *lo <= v && v <= *hi,
-            None => false,
-        };
+        let in_range = |v: &AttrValue| lo <= v && v <= hi;
         let mut hits = Vec::new();
         // A pk can appear under several attribute values (stale entries
         // from updates); only its newest candidate may produce a hit.
@@ -176,7 +170,7 @@ impl SecondaryIndex for EagerIndex {
             if !seen.insert(pk.clone()) {
                 continue;
             }
-            if let Some(doc) = fetch_if_valid(primary, &pk, in_range)? {
+            if let Some(doc) = fetch_if_valid(primary, &pk, &self.attr, in_range)? {
                 hits.push(LookupHit { key: pk, seq, doc });
             }
         }

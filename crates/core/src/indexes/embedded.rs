@@ -13,7 +13,7 @@
 //! there; with background flushes the entries frozen in the immutable
 //! memtable stay until their flush installs).
 
-use crate::doc::Document;
+use crate::doc::{extract_attr, Document};
 use crate::indexes::{IndexKind, LookupHit, SecondaryIndex};
 use crate::topk::TopK;
 use ldbpp_common::Result;
@@ -223,13 +223,11 @@ impl EmbeddedIndex {
                             it.next();
                             continue;
                         }
-                        let Ok(doc) = Document::parse(it.value()) else {
-                            it.next();
-                            continue;
-                        };
-                        let matches = match doc.attr(&self.attr) {
-                            Some(v) => *lo <= v && v <= *hi,
-                            None => false,
+                        // The attribute is read from the record's bytes; a
+                        // record that is not a valid document never matches.
+                        let matches = match extract_attr(it.value(), &self.attr) {
+                            Ok(Some(v)) => *lo <= v && v <= *hi,
+                            _ => false,
                         };
                         if matches {
                             let uk_vec = uk_owned;
@@ -263,6 +261,7 @@ impl EmbeddedIndex {
                                     EmbeddedValidation::FullGet => confirm_newest(uk)?,
                                 };
                                 if !invalid {
+                                    let doc = Document::parse(it.value())?;
                                     heap.add(seq, Candidate { pk: uk_vec, doc });
                                 }
                             }

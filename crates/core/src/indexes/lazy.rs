@@ -7,7 +7,6 @@
 //! end of a level, since fragments of one key are time-ordered across
 //! levels.
 
-use crate::doc::Document;
 use crate::indexes::posting::{decode_postings, encode_postings, fold_postings, Posting};
 use crate::indexes::{fetch_if_valid, IndexKind, LookupHit, SecondaryIndex};
 use ldbpp_common::Result;
@@ -27,29 +26,31 @@ use std::sync::Arc;
 pub struct PostingListMerge;
 
 impl MergeOperator for PostingListMerge {
-    fn full_merge(&self, _key: &[u8], base: Option<&[u8]>, operands: &[&[u8]]) -> Vec<u8> {
+    fn full_merge(&self, _key: &[u8], base: Option<&[u8]>, operands: &[&[u8]]) -> Result<Vec<u8>> {
         // Operands arrive oldest first; fold_postings wants newest first.
         // A base value (a previously finalized list) is the oldest of all.
-        let mut lists: Vec<Vec<Posting>> = Vec::with_capacity(operands.len() + 1);
-        for op in operands.iter().rev() {
-            lists.push(decode_postings(op).unwrap_or_default());
-        }
+        let mut lists = decode_newest_first(operands)?;
         if let Some(b) = base {
-            lists.push(decode_postings(b).unwrap_or_default());
+            lists.push(decode_postings(b)?);
         }
         // Nothing older can survive below a full merge: markers drop.
-        encode_postings(&fold_postings(&lists, false)).unwrap_or_else(|_| b"[]".to_vec())
+        encode_postings(&fold_postings(&lists, false))
     }
 
-    fn partial_merge(&self, _key: &[u8], operands: &[&[u8]], at_bottom: bool) -> Vec<u8> {
-        let mut lists: Vec<Vec<Posting>> = Vec::with_capacity(operands.len());
-        for op in operands.iter().rev() {
-            lists.push(decode_postings(op).unwrap_or_default());
-        }
+    fn partial_merge(&self, _key: &[u8], operands: &[&[u8]], at_bottom: bool) -> Result<Vec<u8>> {
         // Deletion markers must survive while older fragments may still
         // exist in deeper levels.
-        encode_postings(&fold_postings(&lists, !at_bottom)).unwrap_or_else(|_| b"[]".to_vec())
+        encode_postings(&fold_postings(&decode_newest_first(operands)?, !at_bottom))
     }
+}
+
+/// Decode merge operands (given oldest first) into lists, newest first.
+fn decode_newest_first(operands: &[&[u8]]) -> Result<Vec<Vec<Posting>>> {
+    operands
+        .iter()
+        .rev()
+        .map(|op| decode_postings(op))
+        .collect()
 }
 
 /// Stand-alone posting-list index with lazy (append-only) updates.
@@ -132,9 +133,7 @@ impl SecondaryIndex for LazyIndex {
                                 if p.deleted {
                                     continue;
                                 }
-                                match fetch_if_valid(primary, &p.pk, |d| {
-                                    d.attr(&self.attr).as_ref() == Some(value)
-                                }) {
+                                match fetch_if_valid(primary, &p.pk, &self.attr, |v| v == value) {
                                     Ok(Some(doc)) => hits.push(LookupHit {
                                         key: p.pk,
                                         seq: p.seq,
@@ -183,10 +182,7 @@ impl SecondaryIndex for LazyIndex {
         let mut best: HashMap<Vec<u8>, Posting> = HashMap::new();
         let mut hits: Vec<LookupHit> = Vec::new();
         let mut validated: HashSet<Vec<u8>> = HashSet::new();
-        let in_range = |d: &Document| match d.attr(&self.attr) {
-            Some(v) => *lo <= v && v <= *hi,
-            None => false,
-        };
+        let in_range = |v: &AttrValue| lo <= v && v <= hi;
 
         // Index keys are exactly `AttrValue::encode`, so the encoded bounds
         // give the source stack a tight range: files outside it contribute
@@ -223,7 +219,7 @@ impl SecondaryIndex for LazyIndex {
                 if !validated.insert(p.pk.clone()) {
                     continue;
                 }
-                if let Some(doc) = fetch_if_valid(primary, &p.pk, in_range)? {
+                if let Some(doc) = fetch_if_valid(primary, &p.pk, &self.attr, in_range)? {
                     hits.push(LookupHit {
                         key: p.pk.clone(),
                         seq: p.seq,

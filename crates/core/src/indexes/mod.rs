@@ -12,7 +12,7 @@ pub use embedded::{EmbeddedIndex, EmbeddedValidation};
 pub use lazy::{LazyIndex, PostingListMerge};
 pub use posting::{decode_postings, encode_postings, Posting};
 
-use crate::doc::Document;
+use crate::doc::{extract_attr, Document};
 use crate::indexes::posting::fold_postings;
 use ldbpp_common::Result;
 use ldbpp_lsm::attr::AttrValue;
@@ -243,20 +243,23 @@ pub(crate) fn clear_index_table(primary: &Db, tree: u32, table: &Db) -> Result<u
 }
 
 /// Fetch `pk` from the primary table and keep it only if `pred` holds on
-/// the parsed document — the stand-alone indexes' validity check ("we make
-/// sure val(A_i) = a for each entry ... as there could be invalid keys in
-/// the postings list caused by updates on the data table").
+/// its attribute `attr` — the stand-alone indexes' validity check ("we
+/// make sure val(A_i) = a for each entry ... as there could be invalid
+/// keys in the postings list caused by updates on the data table"). The
+/// attribute is read from the record's bytes; the document is parsed only
+/// for a hit.
 pub(crate) fn fetch_if_valid(
     primary: &Db,
     pk: &[u8],
-    pred: impl Fn(&Document) -> bool,
+    attr: &str,
+    pred: impl Fn(&AttrValue) -> bool,
 ) -> Result<Option<Document>> {
-    match primary.get(pk)? {
-        None => Ok(None),
-        Some(bytes) => {
-            let doc = Document::parse(&bytes)?;
-            Ok(if pred(&doc) { Some(doc) } else { None })
-        }
+    let Some(bytes) = primary.get(pk)? else {
+        return Ok(None);
+    };
+    match extract_attr(&bytes, attr)? {
+        Some(v) if pred(&v) => Document::parse(&bytes).map(Some),
+        _ => Ok(None),
     }
 }
 

@@ -30,7 +30,7 @@
 //! created before this refactor open without migration. See DESIGN.md §15
 //! for the full sharding model.
 
-use crate::doc::{Document, JsonAttrExtractor};
+use crate::doc::{extract_attr, extract_attrs, Document, JsonAttrExtractor};
 use crate::indexes::{
     clear_index_table, CompositeIndex, EagerIndex, EmbeddedIndex, EmbeddedValidation, IndexKind,
     LazyIndex, LookupHit, SecondaryIndex,
@@ -312,9 +312,10 @@ impl DeriveOps for IndexOps {
             // commit, it is the record the tombstone actually shadows.
             ValueType::Deletion => {
                 if let Some(bytes) = view.get(0, &op.key)? {
-                    let old = Document::parse(&bytes)?;
-                    for index in self.indexes.iter() {
-                        if let Some(value) = old.attr(index.attr()) {
+                    let attrs: Vec<&str> = self.indexes.iter().map(|i| i.attr()).collect();
+                    let old = extract_attrs(&bytes, &attrs)?;
+                    for (index, value) in self.indexes.iter().zip(old) {
+                        if let Some(value) = value {
                             index.on_delete(view, &op.key, &value, seq, out)?;
                         }
                     }
@@ -515,12 +516,10 @@ impl EngineShard {
         let mut it = self.primary.resolved_iter()?;
         it.seek_to_first();
         while let Some((pk, seq, bytes)) = it.next_entry()? {
-            let Ok(doc) = Document::parse(&bytes) else {
-                continue;
-            };
-            if let Some(v) = doc.attr(attr) {
-                if pred(&v) {
-                    heap.add(seq, (pk, doc));
+            // A record that is not a valid document never matches.
+            if let Ok(Some(v)) = extract_attr(&bytes, attr) {
+                if pred(&v) && heap.would_admit(seq) {
+                    heap.add(seq, (pk, Document::parse(&bytes)?));
                 }
             }
         }
@@ -622,13 +621,14 @@ impl EngineShard {
         let mut it = self.primary.resolved_iter()?;
         it.seek_to_first();
         let mut replayed = 0usize;
+        let attrs: Vec<&str> = targets.iter().map(|i| i.attr()).collect();
         while let Some((pk, seq, bytes)) = it.next_entry()? {
-            let Ok(doc) = Document::parse(&bytes) else {
+            let Ok(values) = extract_attrs(&bytes, &attrs) else {
                 continue;
             };
             let mut ops = Vec::new();
-            for index in targets {
-                if let Some(value) = doc.attr(index.attr()) {
+            for (index, value) in targets.iter().zip(values) {
+                if let Some(value) = value {
                     index.on_put(&view, &pk, &value, seq, &mut ops)?;
                 }
             }

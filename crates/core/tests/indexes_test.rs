@@ -771,3 +771,70 @@ fn foreground_counters_are_deterministic() {
     assert!(first.0.compactions > 0 && first.1.compactions > 0);
     assert_eq!(first, second);
 }
+
+/// A Lazy index tree's merge operator never turns an operand it cannot
+/// read into a shorter posting list: compaction fails with a corruption
+/// error, the inputs stay installed, and after a reopen every earlier
+/// fragment is still on disk and every other list still reads whole.
+#[test]
+fn malformed_lazy_operand_fails_compaction_without_losing_postings() {
+    use ldbpp_core::indexes::{decode_postings, encode_postings, Posting};
+    use ldbpp_lsm::attr::AttrValue;
+    use ldbpp_lsm::db::Db;
+    use ldbpp_lsm::env::{Env, MemEnv};
+    use std::ops::ControlFlow;
+    use std::sync::Arc;
+
+    let opts = IndexKind::LazyStandalone
+        .table_options(&DbOptions {
+            background_work: false,
+            l0_compaction_trigger: 64,
+            l0_slowdown_trigger: 64,
+            l0_stall_trigger: 64,
+            ..tiny_opts()
+        })
+        .unwrap();
+    let env: Arc<dyn Env> = MemEnv::new();
+    let u1 = AttrValue::str("u1").encode();
+    let u2 = AttrValue::str("u2").encode();
+    let fragment = |pk: &str, seq: u64| encode_postings(&[Posting::insert(pk, seq)]).unwrap();
+    {
+        let db = Db::open(env.clone(), "lazy", opts.clone()).unwrap();
+        for seq in 1..=3 {
+            db.merge(&u1, &fragment(&format!("t{seq}"), seq)).unwrap();
+            db.merge(&u2, &fragment(&format!("s{seq}"), seq)).unwrap();
+            db.flush().unwrap();
+        }
+        db.merge(&u1, br#"[["t9","#).unwrap();
+        db.flush().unwrap();
+        let e = db.major_compact().unwrap_err();
+        assert!(e.is_corruption(), "{e}");
+        let e = db.get(&u1).unwrap_err();
+        assert!(e.is_corruption(), "{e}");
+    }
+    let db = Db::open(env, "lazy", opts).unwrap();
+    let e = db.get(&u1).unwrap_err();
+    assert!(
+        e.is_corruption(),
+        "a malformed operand must never read as a shorter list: {e}"
+    );
+    let u2_list = decode_postings(&db.get(&u2).unwrap().unwrap()).unwrap();
+    let u2_pks: Vec<&[u8]> = u2_list.iter().map(|p| p.pk.as_slice()).collect();
+    assert_eq!(u2_pks, [&b"s3"[..], b"s2", b"s1"]);
+    // Every earlier u1 fragment is still there, next to the bad operand.
+    let mut pks = Vec::new();
+    let mut bad = 0;
+    db.fold_key_sources(&u1, |_, entries| {
+        for (_, bytes, _) in entries {
+            match decode_postings(bytes) {
+                Ok(list) => pks.extend(list.into_iter().map(|p| p.pk)),
+                Err(_) => bad += 1,
+            }
+        }
+        ControlFlow::Continue(())
+    })
+    .unwrap();
+    pks.sort();
+    assert_eq!(pks, [b"t1".to_vec(), b"t2".to_vec(), b"t3".to_vec()]);
+    assert_eq!(bad, 1);
+}

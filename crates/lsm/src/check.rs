@@ -537,8 +537,9 @@ fn check_entry_zones(
     extractor: &dyn crate::attr::AttrExtractor,
 ) {
     let fileno = meta.number;
-    for attr in attrs {
-        let Some(av) = extractor.extract(attr, value) else {
+    // One extraction per record for all attributes.
+    for (attr, av) in attrs.iter().zip(extractor.extract_many(attrs, value)) {
+        let Some(av) = av else {
             continue;
         };
         if !table.sec_may_contain(attr, &av, block) {

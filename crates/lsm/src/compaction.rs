@@ -14,6 +14,7 @@ use crate::ikey::{compare_internal, ValueType};
 use crate::merge::MergeOperator;
 use crate::options::DbOptions;
 use crate::version::{FileMetaData, Version};
+use ldbpp_common::Result;
 use std::sync::Arc;
 
 /// A chosen compaction: files from `level` merging into `level + 1`.
@@ -133,12 +134,14 @@ pub type RunEntry = (ValueType, u64, Vec<u8>);
 ///   over a `Deletion` (base = none), or — with no base among the inputs —
 ///   stays a single combined operand unless `is_base_level`, in which case
 ///   it finalizes to a `Value`.
+///
+/// Fails when the merge operator rejects an operand.
 pub fn resolve_key_run(
     key: &[u8],
     entries: &[RunEntry],
     is_base_level: bool,
     merge_op: Option<&dyn MergeOperator>,
-) -> Vec<RunEntry> {
+) -> Result<Vec<RunEntry>> {
     resolve_key_run_with_snapshot(key, entries, is_base_level, merge_op, None)
 }
 
@@ -155,21 +158,21 @@ pub fn resolve_key_run_with_snapshot(
     is_base_level: bool,
     merge_op: Option<&dyn MergeOperator>,
     boundary: Option<u64>,
-) -> Vec<RunEntry> {
+) -> Result<Vec<RunEntry>> {
     let Some(boundary) = boundary else {
         return resolve_key_run_inner(key, entries, is_base_level, merge_op);
     };
     let split = entries.partition_point(|e| e.1 > boundary);
     let (newer, preserved) = entries.split_at(split);
     if newer.is_empty() {
-        return preserved.to_vec();
+        return Ok(preserved.to_vec());
     }
     // Resolve the prefix as if more data always exists below (it does:
     // the preserved suffix or deeper levels) so tombstones and dangling
     // merge runs are kept/partial-merged, never finalized.
-    let mut out = resolve_key_run_inner(key, newer, false, merge_op);
+    let mut out = resolve_key_run_inner(key, newer, false, merge_op)?;
     out.extend_from_slice(preserved);
-    out
+    Ok(out)
 }
 
 fn resolve_key_run_inner(
@@ -177,11 +180,11 @@ fn resolve_key_run_inner(
     entries: &[RunEntry],
     is_base_level: bool,
     merge_op: Option<&dyn MergeOperator>,
-) -> Vec<RunEntry> {
+) -> Result<Vec<RunEntry>> {
     let Some((newest_type, newest_seq, newest_value)) = entries.first().cloned() else {
-        return Vec::new();
+        return Ok(Vec::new());
     };
-    match newest_type {
+    Ok(match newest_type {
         ValueType::Value => vec![(ValueType::Value, newest_seq, newest_value)],
         ValueType::Deletion => {
             if is_base_level {
@@ -206,14 +209,14 @@ fn resolve_key_run_inner(
             let Some(op) = merge_op else {
                 // No operator configured: keep the newest operand only
                 // (degenerate but safe).
-                return vec![(ValueType::Merge, newest_seq, newest_value)];
+                return Ok(vec![(ValueType::Merge, newest_seq, newest_value)]);
             };
             match base {
                 Some((ValueType::Value, _, v)) => {
                     vec![(
                         ValueType::Value,
                         newest_seq,
-                        op.full_merge(key, Some(v), &operands),
+                        op.full_merge(key, Some(v), &operands)?,
                     )]
                 }
                 Some((ValueType::Deletion, _, _)) => {
@@ -223,7 +226,7 @@ fn resolve_key_run_inner(
                     vec![(
                         ValueType::Value,
                         newest_seq,
-                        op.full_merge(key, None, &operands),
+                        op.full_merge(key, None, &operands)?,
                     )]
                 }
                 _ => {
@@ -231,19 +234,19 @@ fn resolve_key_run_inner(
                         vec![(
                             ValueType::Value,
                             newest_seq,
-                            op.full_merge(key, None, &operands),
+                            op.full_merge(key, None, &operands)?,
                         )]
                     } else {
                         vec![(
                             ValueType::Merge,
                             newest_seq,
-                            op.partial_merge(key, &operands, false),
+                            op.partial_merge(key, &operands, false)?,
                         )]
                     }
                 }
             }
         }
-    }
+    })
 }
 
 #[cfg(test)]
@@ -342,22 +345,26 @@ mod tests {
 
     #[test]
     fn newest_value_shadows_all() {
-        let out = resolve_key_run(b"k", &[val(9, b"new"), val(5, b"old"), del(2)], false, None);
+        let out =
+            resolve_key_run(b"k", &[val(9, b"new"), val(5, b"old"), del(2)], false, None).unwrap();
         assert_eq!(out, vec![val(9, b"new")]);
     }
 
     #[test]
     fn tombstone_kept_unless_base_level() {
         let run = [del(9), val(5, b"old")];
-        assert_eq!(resolve_key_run(b"k", &run, false, None), vec![del(9)]);
-        assert_eq!(resolve_key_run(b"k", &run, true, None), vec![]);
+        assert_eq!(
+            resolve_key_run(b"k", &run, false, None).unwrap(),
+            vec![del(9)]
+        );
+        assert_eq!(resolve_key_run(b"k", &run, true, None).unwrap(), vec![]);
     }
 
     #[test]
     fn merge_onto_value_folds_to_value() {
         let m = ConcatMerge;
         let run = [mrg(9, b"c"), mrg(8, b"b"), val(5, b"a")];
-        let out = resolve_key_run(b"k", &run, false, Some(&m));
+        let out = resolve_key_run(b"k", &run, false, Some(&m)).unwrap();
         assert_eq!(out, vec![val(9, b"abc")]);
     }
 
@@ -365,7 +372,7 @@ mod tests {
     fn merge_over_delete_consumes_tombstone() {
         let m = ConcatMerge;
         let run = [mrg(9, b"y"), mrg(8, b"x"), del(5), val(2, b"dead")];
-        let out = resolve_key_run(b"k", &run, false, Some(&m));
+        let out = resolve_key_run(b"k", &run, false, Some(&m)).unwrap();
         assert_eq!(out, vec![val(9, b"xy")]);
     }
 
@@ -373,22 +380,22 @@ mod tests {
     fn dangling_merge_stays_operand_above_base_level() {
         let m = ConcatMerge;
         let run = [mrg(9, b"2"), mrg(4, b"1")];
-        let out = resolve_key_run(b"k", &run, false, Some(&m));
+        let out = resolve_key_run(b"k", &run, false, Some(&m)).unwrap();
         assert_eq!(out, vec![mrg(9, b"12")]);
         // At the base level it finalizes.
-        let out = resolve_key_run(b"k", &run, true, Some(&m));
+        let out = resolve_key_run(b"k", &run, true, Some(&m)).unwrap();
         assert_eq!(out, vec![val(9, b"12")]);
     }
 
     #[test]
     fn merge_without_operator_degrades_gracefully() {
         let run = [mrg(9, b"b"), mrg(4, b"a")];
-        let out = resolve_key_run(b"k", &run, false, None);
+        let out = resolve_key_run(b"k", &run, false, None).unwrap();
         assert_eq!(out, vec![mrg(9, b"b")]);
     }
 
     #[test]
     fn empty_run() {
-        assert!(resolve_key_run(b"k", &[], true, None).is_empty());
+        assert!(resolve_key_run(b"k", &[], true, None).unwrap().is_empty());
     }
 }

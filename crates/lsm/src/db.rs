@@ -1454,7 +1454,7 @@ impl DbCore {
             Some(Outcome::Found(v)) => Some(v.as_slice()),
             _ => None,
         };
-        Ok(Some(op.full_merge(user_key, base, &refs)))
+        op.full_merge(user_key, base, &refs).map(Some)
     }
 
     /// Visit each source that may hold `user_key` as of `snapshot` (`None` =
@@ -2143,7 +2143,7 @@ impl DbCore {
                     is_base,
                     merge_op.as_deref(),
                     snapshot_boundary,
-                );
+                )?;
                 if resolved.is_empty() {
                     erased.set(erased.get() + 1);
                     return Ok(());
@@ -2642,7 +2642,7 @@ impl ResolvedIter {
                     };
                     operands.reverse();
                     let refs: Vec<&[u8]> = operands.iter().map(|o| o.as_slice()).collect();
-                    let folded = op.full_merge(&user_key, base.as_deref(), &refs);
+                    let folded = op.full_merge(&user_key, base.as_deref(), &refs)?;
                     return Ok(Some((user_key, newest_seq, folded)));
                 }
             }

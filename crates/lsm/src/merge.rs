@@ -7,24 +7,29 @@
 //! compaction — exactly the paper's "the old postings list of u is merged
 //! with (u,{t4}) later, during the periodic compaction phase".
 
+use ldbpp_common::Result;
 use std::sync::Arc;
 
 /// Folds merge operands for a table.
 ///
 /// Operands are always presented **oldest first**. An associative operator
 /// (like posting-list union) may be folded incrementally at any level.
+///
+/// An operand or base the operator cannot read is an error, never a
+/// shorter value: the read or compaction that met it fails and the
+/// entries stay on disk as they were.
 pub trait MergeOperator: Send + Sync {
     /// Fold `operands` on top of an optional base value into a full value.
     ///
     /// Called by `get` after collecting every visible operand, and by
     /// compaction when operands meet a base `Value` record.
-    fn full_merge(&self, key: &[u8], base: Option<&[u8]>, operands: &[&[u8]]) -> Vec<u8>;
+    fn full_merge(&self, key: &[u8], base: Option<&[u8]>, operands: &[&[u8]]) -> Result<Vec<u8>>;
 
     /// Combine adjacent operands into a single replacement operand during
     /// compaction (no base value in sight). `at_bottom` is true when no
     /// older data for `key` can exist below the compaction output — the
     /// operator may then discard deletion markers it carries.
-    fn partial_merge(&self, key: &[u8], operands: &[&[u8]], at_bottom: bool) -> Vec<u8>;
+    fn partial_merge(&self, key: &[u8], operands: &[&[u8]], at_bottom: bool) -> Result<Vec<u8>>;
 }
 
 /// A merge operator that concatenates operands byte-wise (test helper and
@@ -33,20 +38,16 @@ pub trait MergeOperator: Send + Sync {
 pub struct ConcatMerge;
 
 impl MergeOperator for ConcatMerge {
-    fn full_merge(&self, _key: &[u8], base: Option<&[u8]>, operands: &[&[u8]]) -> Vec<u8> {
+    fn full_merge(&self, _key: &[u8], base: Option<&[u8]>, operands: &[&[u8]]) -> Result<Vec<u8>> {
         let mut out = base.map(|b| b.to_vec()).unwrap_or_default();
         for op in operands {
             out.extend_from_slice(op);
         }
-        out
+        Ok(out)
     }
 
-    fn partial_merge(&self, _key: &[u8], operands: &[&[u8]], _at_bottom: bool) -> Vec<u8> {
-        let mut out = Vec::new();
-        for op in operands {
-            out.extend_from_slice(op);
-        }
-        out
+    fn partial_merge(&self, _key: &[u8], operands: &[&[u8]], _at_bottom: bool) -> Result<Vec<u8>> {
+        Ok(operands.concat())
     }
 }
 
@@ -60,15 +61,21 @@ mod tests {
     #[test]
     fn concat_full_merge() {
         let m = ConcatMerge;
-        assert_eq!(m.full_merge(b"k", Some(b"a"), &[b"b", b"c"]), b"abc");
-        assert_eq!(m.full_merge(b"k", None, &[b"x"]), b"x");
-        assert_eq!(m.full_merge(b"k", None, &[]), b"");
+        assert_eq!(
+            m.full_merge(b"k", Some(b"a"), &[b"b", b"c"]).unwrap(),
+            b"abc"
+        );
+        assert_eq!(m.full_merge(b"k", None, &[b"x"]).unwrap(), b"x");
+        assert_eq!(m.full_merge(b"k", None, &[]).unwrap(), b"");
     }
 
     #[test]
     fn concat_partial_merge() {
         let m = ConcatMerge;
-        assert_eq!(m.partial_merge(b"k", &[b"1", b"2", b"3"], false), b"123");
-        assert_eq!(m.partial_merge(b"k", &[], true), b"");
+        assert_eq!(
+            m.partial_merge(b"k", &[b"1", b"2", b"3"], false).unwrap(),
+            b"123"
+        );
+        assert_eq!(m.partial_merge(b"k", &[], true).unwrap(), b"");
     }
 }

@@ -471,7 +471,12 @@ fn block_cache_reduces_repeat_reads() {
 struct SetUnion;
 
 impl MergeOperator for SetUnion {
-    fn full_merge(&self, _k: &[u8], base: Option<&[u8]>, operands: &[&[u8]]) -> Vec<u8> {
+    fn full_merge(
+        &self,
+        _k: &[u8],
+        base: Option<&[u8]>,
+        operands: &[&[u8]],
+    ) -> ldbpp_common::Result<Vec<u8>> {
         let mut items: Vec<&[u8]> = Vec::new();
         if let Some(b) = base {
             items.extend(b.split(|c| *c == b',').filter(|s| !s.is_empty()));
@@ -481,9 +486,14 @@ impl MergeOperator for SetUnion {
         }
         items.sort();
         items.dedup();
-        items.join(&b","[..])
+        Ok(items.join(&b","[..]))
     }
-    fn partial_merge(&self, k: &[u8], operands: &[&[u8]], _at_bottom: bool) -> Vec<u8> {
+    fn partial_merge(
+        &self,
+        k: &[u8],
+        operands: &[&[u8]],
+        _at_bottom: bool,
+    ) -> ldbpp_common::Result<Vec<u8>> {
         self.full_merge(k, None, operands)
     }
 }

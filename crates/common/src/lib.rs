@@ -12,6 +12,8 @@
 //!   JSON in-house because `serde_json` is outside the approved dependency
 //!   set.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod coding;
 pub mod crc32c;
 pub mod error;

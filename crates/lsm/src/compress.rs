@@ -16,6 +16,7 @@
 
 use ldbpp_common::coding::{get_varint64, put_varint64};
 use ldbpp_common::{Error, Result};
+use std::cell::RefCell;
 
 /// Compression selector stored in each block trailer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -51,45 +52,109 @@ const MAX_DISTANCE: usize = 1 << 16;
 const HASH_BITS: u32 = 14;
 
 #[inline]
-fn hash4(data: &[u8]) -> usize {
-    let v = u32::from_le_bytes(data[..4].try_into().unwrap());
+fn hash4(v: u32) -> usize {
     (v.wrapping_mul(0x9e37_79b1) >> (32 - HASH_BITS)) as usize
 }
 
+/// The four bytes of `data` at `at`, little-endian.
+#[inline]
+fn load4(data: &[u8], at: usize) -> u32 {
+    let mut w = [0u8; 4];
+    w.copy_from_slice(&data[at..at + 4]);
+    u32::from_le_bytes(w)
+}
+
+/// The eight bytes of `data` at `at`, little-endian.
+#[inline]
+fn load8(data: &[u8], at: usize) -> u64 {
+    let mut w = [0u8; 8];
+    w.copy_from_slice(&data[at..at + 8]);
+    u64::from_le_bytes(w)
+}
+
+/// Length of the common run of `input` at `candidate` and at `pos`
+/// (`candidate < pos`), given that the first [`MIN_MATCH`] bytes agree.
+#[inline]
+fn match_len(input: &[u8], candidate: usize, pos: usize) -> usize {
+    let mut len = MIN_MATCH;
+    while pos + len + 8 <= input.len() {
+        let diff = load8(input, candidate + len) ^ load8(input, pos + len);
+        if diff != 0 {
+            return len + (diff.trailing_zeros() / 8) as usize;
+        }
+        len += 8;
+    }
+    while pos + len < input.len() && input[candidate + len] == input[pos + len] {
+        len += 1;
+    }
+    len
+}
+
+/// The match finder's hash table, kept per thread and reused across calls
+/// so that a 1 KiB block does not pay for clearing 16 Ki slots.
+///
+/// A slot holds `base + pos` for the position `pos` of the call that
+/// stored it. Each call starts at a `base` past every value an earlier call
+/// can have stored, so a slot below the current base reads as empty: the
+/// same matches as a freshly cleared table, with no memset.
+struct MatchTable {
+    slots: Box<[u32; 1 << HASH_BITS]>,
+    base: u32,
+}
+
+thread_local! {
+    static MATCH_TABLE: RefCell<MatchTable> = RefCell::new(MatchTable {
+        slots: Box::new([0; 1 << HASH_BITS]),
+        base: 1,
+    });
+}
+
 /// Compress `input` with snaplite.
+///
+/// # Panics
+///
+/// If `input` holds `u32::MAX` bytes (4 GiB) or more: the match table
+/// stores positions as `u32`. Blocks are kilobytes.
 pub fn compress(input: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(input.len() / 2 + 16);
     put_varint64(&mut out, input.len() as u64);
     if input.is_empty() {
         return out;
     }
+    let len = match u32::try_from(input.len()) {
+        Ok(len) if len < u32::MAX => len,
+        _ => panic!("snaplite input of {} bytes is too long", input.len()),
+    };
 
-    let mut table = vec![usize::MAX; 1 << HASH_BITS];
-    let mut pos = 0usize;
-    let mut literal_start = 0usize;
+    MATCH_TABLE.with_borrow_mut(|table| {
+        if table.base.checked_add(len).is_none() {
+            table.slots.fill(0);
+            table.base = 1;
+        }
+        let base = table.base;
+        table.base += len;
 
-    while pos + MIN_MATCH <= input.len() {
-        let h = hash4(&input[pos..]);
-        let candidate = table[h];
-        table[h] = pos;
-        if candidate != usize::MAX
-            && pos - candidate <= MAX_DISTANCE
-            && input[candidate..candidate + MIN_MATCH] == input[pos..pos + MIN_MATCH]
-        {
-            // Extend the match.
-            let mut len = MIN_MATCH;
-            while pos + len < input.len() && input[candidate + len] == input[pos + len] {
-                len += 1;
+        let mut pos = 0usize;
+        let mut literal_start = 0usize;
+        while pos + MIN_MATCH <= input.len() {
+            let word = load4(input, pos);
+            let slot = &mut table.slots[hash4(word)];
+            let stored = std::mem::replace(slot, base + pos as u32);
+            if stored >= base {
+                let candidate = (stored - base) as usize;
+                if pos - candidate <= MAX_DISTANCE && load4(input, candidate) == word {
+                    let run = match_len(input, candidate, pos);
+                    emit_literal(&mut out, &input[literal_start..pos]);
+                    emit_copy(&mut out, run, pos - candidate);
+                    pos += run;
+                    literal_start = pos;
+                    continue;
+                }
             }
-            emit_literal(&mut out, &input[literal_start..pos]);
-            emit_copy(&mut out, len, pos - candidate);
-            pos += len;
-            literal_start = pos;
-        } else {
             pos += 1;
         }
-    }
-    emit_literal(&mut out, &input[literal_start..]);
+        emit_literal(&mut out, &input[literal_start..]);
+    });
     out
 }
 
@@ -145,11 +210,16 @@ pub fn decompress(input: &[u8]) -> Result<Vec<u8>> {
                 if len > expected_len - out.len() {
                     return Err(Error::corruption("snaplite copy overruns output"));
                 }
-                // Overlapping copies are legal (RLE-style); copy byte-wise.
                 let start = out.len() - dist;
-                for i in 0..len {
-                    let b = out[start + i];
-                    out.push(b);
+                if dist >= len {
+                    out.extend_from_within(start..start + len);
+                } else {
+                    // Overlapping copies are legal (RLE-style): the copy
+                    // reads bytes it has just written, so go byte-wise.
+                    for i in 0..len {
+                        let b = out[start + i];
+                        out.push(b);
+                    }
                 }
             }
             _ => return Err(Error::corruption(format!("snaplite bad tag {tag}"))),
@@ -171,7 +241,141 @@ pub fn decompress(input: &[u8]) -> Result<Vec<u8>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ldbpp_workload::{SeedStats, TweetGenerator};
     use proptest::prelude::*;
+
+    /// The compressor before its hash table was reused across calls, with
+    /// a freshly cleared table each time: the oracle for the bytes
+    /// [`compress`] must produce.
+    fn compress_fresh_table(input: &[u8]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(input.len() / 2 + 16);
+        put_varint64(&mut out, input.len() as u64);
+        if input.is_empty() {
+            return out;
+        }
+
+        let mut table = vec![usize::MAX; 1 << HASH_BITS];
+        let mut pos = 0usize;
+        let mut literal_start = 0usize;
+
+        while pos + MIN_MATCH <= input.len() {
+            let h = hash4(load4(input, pos));
+            let candidate = table[h];
+            table[h] = pos;
+            if candidate != usize::MAX
+                && pos - candidate <= MAX_DISTANCE
+                && input[candidate..candidate + MIN_MATCH] == input[pos..pos + MIN_MATCH]
+            {
+                let mut len = MIN_MATCH;
+                while pos + len < input.len() && input[candidate + len] == input[pos + len] {
+                    len += 1;
+                }
+                emit_literal(&mut out, &input[literal_start..pos]);
+                emit_copy(&mut out, len, pos - candidate);
+                pos += len;
+                literal_start = pos;
+            } else {
+                pos += 1;
+            }
+        }
+        emit_literal(&mut out, &input[literal_start..]);
+        out
+    }
+
+    /// Key/document records from the workload generator, back to back: what
+    /// a data block holds.
+    fn tweet_bytes(n: usize, seed: u64) -> Vec<u8> {
+        let mut out = Vec::new();
+        for t in TweetGenerator::new(SeedStats::default(), n, seed).take(n) {
+            out.extend_from_slice(t.id.as_bytes());
+            out.extend_from_slice(t.document().to_json().as_bytes());
+        }
+        out
+    }
+
+    #[test]
+    fn reused_table_matches_fresh_table_on_tweet_blocks() {
+        let data = tweet_bytes(400, 7);
+        // Many calls in a row on one thread, so a slot left by an earlier
+        // call that leaked in as a match would change the output. Repeating
+        // a block and switching block sizes make such a leak likely.
+        for block in [1024, 4096, 1024, 4096, 100, 4096] {
+            for chunk in data.chunks(block) {
+                for _ in 0..2 {
+                    let got = compress(chunk);
+                    assert_eq!(got, compress_fresh_table(chunk), "block size {block}");
+                    assert_eq!(decompress(&got).unwrap(), chunk);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn slot_from_an_earlier_call_is_not_a_match() {
+        // In `current`, the "wxyz" at 36 lies inside a copy, so the scan
+        // never stores it and the one at 42 is a literal. `earlier` stores
+        // "wxyz" at 36; were that slot live, 42 would copy from it.
+        let u = b"ABCDEFGHIJKLwx";
+        let current = [&u[..], b"0123456789", u, b"yz--wxyz"].concat();
+        let earlier = [&(0x80u8..0xa4).collect::<Vec<u8>>()[..], b"wxyz"].concat();
+        compress(&earlier);
+        let got = compress(&current);
+        assert_eq!(got, compress_fresh_table(&current));
+        assert_eq!(decompress(&got).unwrap(), current);
+    }
+
+    #[test]
+    fn table_reset_on_base_overflow_keeps_bytes() {
+        let data = tweet_bytes(20, 3);
+        compress(&data);
+        MATCH_TABLE.with_borrow_mut(|t| t.base = u32::MAX - 10);
+        assert_eq!(compress(&data), compress_fresh_table(&data));
+        assert_eq!(MATCH_TABLE.with_borrow(|t| t.base), 1 + data.len() as u32);
+        assert_eq!(compress(&data), compress_fresh_table(&data));
+    }
+
+    /// A stream of literal and copy ops for `decompress` cases.
+    fn stream(expected_len: u64, ops: &[(u8, &[u64], &[u8])]) -> Vec<u8> {
+        let mut s = Vec::new();
+        put_varint64(&mut s, expected_len);
+        for (tag, varints, bytes) in ops {
+            s.push(*tag);
+            for &v in *varints {
+                put_varint64(&mut s, v);
+            }
+            s.extend_from_slice(bytes);
+        }
+        s
+    }
+
+    #[test]
+    fn copy_with_distance_equal_to_length() {
+        let s = stream(8, &[(0x00, &[4], b"abcd"), (0x01, &[4, 4], b"")]);
+        assert_eq!(decompress(&s).unwrap(), b"abcdabcd");
+    }
+
+    #[test]
+    fn copy_with_distance_below_length_repeats() {
+        let s = stream(9, &[(0x00, &[2], b"ab"), (0x01, &[7, 2], b"")]);
+        assert_eq!(decompress(&s).unwrap(), b"ababababa");
+        let s = stream(6, &[(0x00, &[1], b"z"), (0x01, &[5, 1], b"")]);
+        assert_eq!(decompress(&s).unwrap(), b"zzzzzz");
+    }
+
+    #[test]
+    fn bad_copies_rejected() {
+        // Distance zero, distance past the output, and a copy past the
+        // declared length.
+        for s in [
+            stream(8, &[(0x00, &[4], b"abcd"), (0x01, &[4, 0], b"")]),
+            stream(8, &[(0x00, &[4], b"abcd"), (0x01, &[4, 5], b"")]),
+            stream(7, &[(0x00, &[4], b"abcd"), (0x01, &[4, 4], b"")]),
+            stream(3, &[(0x00, &[4], b"abcd")]),
+            stream(8, &[(0x00, &[9], b"abcd")]),
+        ] {
+            assert!(decompress(&s).is_err(), "{s:?}");
+        }
+    }
 
     #[test]
     fn empty_roundtrip() {
@@ -272,6 +476,11 @@ mod tests {
         fn prop_roundtrip_low_entropy(data in proptest::collection::vec(0u8..4, 0..8192)) {
             let c = compress(&data);
             prop_assert_eq!(decompress(&c).unwrap(), data);
+        }
+
+        #[test]
+        fn prop_matches_fresh_table(data in proptest::collection::vec(0u8..4, 0..4096)) {
+            prop_assert_eq!(compress(&data), compress_fresh_table(&data));
         }
 
         #[test]

@@ -60,11 +60,6 @@ impl Document {
     pub fn to_bytes(&self) -> Vec<u8> {
         self.0.to_json().into_bytes()
     }
-
-    /// The underlying JSON value.
-    pub fn as_value(&self) -> &Value {
-        &self.0
-    }
 }
 
 impl Default for Document {

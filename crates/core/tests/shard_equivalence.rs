@@ -204,12 +204,24 @@ fn unsharded_db_refuses_sharded_open() {
         shards,
         ..Default::default()
     };
+    let mut doc = Document::new();
+    doc.set("A", Value::Int(1));
+    let specs = [("A", IndexKind::LazyStandalone)];
     {
-        let db = SecondaryDb::open(env.clone(), "db", opts(1), &[]).expect("open legacy");
-        let mut doc = Document::new();
-        doc.set("A", Value::Int(1));
-        db.put("k1", &doc).expect("put");
+        let db = SecondaryDb::open(env.clone(), "db", opts(1), &specs).expect("open");
+        // One shard draws sequences from the shared clock exactly as the
+        // engine alone would: 1, 2, 3, …
+        for (i, pk) in ["k1", "k2", "k3"].into_iter().enumerate() {
+            assert_eq!(db.put(pk, &doc).expect("put"), i as u64 + 1);
+        }
         db.flush().expect("flush");
+    }
+    {
+        // A reopen continues at the recovered last sequence + 1.
+        let db = SecondaryDb::open(env.clone(), "db", opts(1), &specs).expect("reopen");
+        assert_eq!(db.put("k4", &doc).expect("put"), 4);
+        db.delete("k4").expect("delete");
+        assert_eq!(db.put("k5", &doc).expect("put"), 6);
     }
     // No LAYOUT descriptor is ever written at shards = 1.
     assert!(!env.exists("db/LAYOUT"));
@@ -218,8 +230,9 @@ fn unsharded_db_refuses_sharded_open() {
         .expect("sharded open over an unsharded db must fail");
     assert!(err.to_string().contains("unsharded"), "got: {err}");
     // And the refusal left the database untouched.
-    let db = SecondaryDb::open(env, "db", opts(1), &[]).expect("legacy reopen");
+    let db = SecondaryDb::open(env, "db", opts(1), &specs).expect("reopen after refusal");
     assert!(db.get("k1").expect("get").is_some());
+    assert_eq!(db.put("k6", &doc).expect("put"), 7);
 }
 
 #[test]

@@ -501,31 +501,18 @@ impl Env for MemEnv {
 pub struct SyncLatencyEnv {
     inner: Arc<dyn Env>,
     delay: std::time::Duration,
-    /// Shared with every writable handle, so files outliving the caller's
-    /// env reference still feed the env-level count.
-    syncs: Arc<AtomicU64>,
 }
 
 impl SyncLatencyEnv {
     /// Wrap `inner`, delaying every `sync` by `delay`.
     pub fn new(inner: Arc<dyn Env>, delay: std::time::Duration) -> Arc<SyncLatencyEnv> {
-        Arc::new(SyncLatencyEnv {
-            inner,
-            delay,
-            syncs: Arc::new(AtomicU64::new(0)),
-        })
-    }
-
-    /// Number of (delayed) syncs issued through this env so far.
-    pub fn sync_count(&self) -> u64 {
-        self.syncs.load(Ordering::Relaxed)
+        Arc::new(SyncLatencyEnv { inner, delay })
     }
 }
 
 struct SyncLatencyWritable {
     inner: Box<dyn WritableFile>,
     delay: std::time::Duration,
-    syncs: Arc<AtomicU64>,
 }
 
 impl WritableFile for SyncLatencyWritable {
@@ -534,7 +521,6 @@ impl WritableFile for SyncLatencyWritable {
     }
     fn sync(&mut self) -> Result<()> {
         std::thread::sleep(self.delay);
-        self.syncs.fetch_add(1, Ordering::Relaxed);
         self.inner.sync()
     }
     fn len(&self) -> u64 {
@@ -547,7 +533,6 @@ impl Env for SyncLatencyEnv {
         Ok(Box::new(SyncLatencyWritable {
             inner: self.inner.new_writable(path)?,
             delay: self.delay,
-            syncs: Arc::clone(&self.syncs),
         }))
     }
 
@@ -782,14 +767,6 @@ impl FaultEnv {
         });
     }
 
-    /// Convenience: fail only the operation with global index `n`.
-    pub fn set_fail_point(&self, n: u64) {
-        self.set_plan(FaultPlan {
-            fail_at: Some(n),
-            ..FaultPlan::default()
-        });
-    }
-
     /// Remove all scheduled faults (counters keep their values).
     pub fn clear_plan(&self) {
         self.set_plan(FaultPlan::default());
@@ -798,11 +775,6 @@ impl FaultEnv {
     /// Mutating operations issued so far (including ones that failed).
     pub fn op_count(&self) -> u64 {
         self.state.ops.load(Ordering::SeqCst)
-    }
-
-    /// Operations of one class issued so far.
-    pub fn class_count(&self, op: FaultOp) -> u64 {
-        self.state.class_ops[op.index()].load(Ordering::SeqCst)
     }
 
     /// Faults injected so far.

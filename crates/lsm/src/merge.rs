@@ -7,7 +7,7 @@
 //! compaction — exactly the paper's "the old postings list of u is merged
 //! with (u,{t4}) later, during the periodic compaction phase".
 
-use ldbpp_common::Result;
+use ldbpp_common::{Error, Result};
 use std::sync::Arc;
 
 /// Folds merge operands for a table.
@@ -53,6 +53,26 @@ impl MergeOperator for ConcatMerge {
 
 /// Shared handle to a merge operator.
 pub type MergeOperatorRef = Arc<dyn MergeOperator>;
+
+/// Fold the operands a read collected for `key` — **newest first**, the
+/// order sources yield them — onto `base` (`None` when the run ended at a
+/// tombstone or at the oldest entry). The one fold behind point reads and
+/// resolved iterators.
+pub(crate) fn fold_newest_first(
+    op: Option<&MergeOperatorRef>,
+    key: &[u8],
+    base: Option<&[u8]>,
+    mut operands: Vec<Vec<u8>>,
+) -> Result<Vec<u8>> {
+    let Some(op) = op else {
+        return Err(Error::not_supported(
+            "merge entries present but no merge operator configured",
+        ));
+    };
+    operands.reverse();
+    let refs: Vec<&[u8]> = operands.iter().map(Vec::as_slice).collect();
+    op.full_merge(key, base, &refs)
+}
 
 #[cfg(test)]
 mod tests {

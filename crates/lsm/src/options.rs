@@ -115,11 +115,12 @@ pub struct DbOptions {
     ///   absent-with-diagnostic (`corrupt_blocks_skipped`) instead of a
     ///   query error — serving every record that is still readable.
     pub paranoid_checks: bool,
-    /// Sequence-number allocator shared with other `Db` instances (the
-    /// shard-routing configuration; see
-    /// [`crate::db::SharedSequence`]). `None` — the default — keeps the
-    /// classic per-database `last_sequence + 1` allocation, byte-for-byte
-    /// identical to the unsharded engine.
+    /// Sequence-number allocator the database's commits draw from (see
+    /// [`crate::db::SharedSequence`]). `SecondaryDb` installs one clock in
+    /// every shard's primary, one shard or many. `None` — the default for
+    /// a `Db` opened on its own — allocates `last_sequence + 1` per
+    /// database; a clock that only this database uses hands out the same
+    /// numbers.
     pub sequence_clock: Option<Arc<crate::db::SharedSequence>>,
 }
 

@@ -175,11 +175,6 @@ impl TableBuilder {
         self.bytes_on_disk + self.data_block.size_estimate() as u64
     }
 
-    /// Blocks flushed so far (not counting the one in progress).
-    pub fn blocks_written(&self) -> u64 {
-        self.num_blocks
-    }
-
     /// Finish the table and return its metadata.
     pub fn finish(mut self) -> Result<TableMeta> {
         if self.num_entries == 0 {

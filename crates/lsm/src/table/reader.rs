@@ -194,11 +194,6 @@ impl Table {
         }
     }
 
-    /// Zone-map check for a point value on block `i`.
-    pub fn sec_zone_may_contain(&self, attr: &str, value: &AttrValue, i: usize) -> bool {
-        self.sec_zone_overlaps(attr, value, value, i)
-    }
-
     /// The file-level zone map for `attr` (union of block zones).
     pub fn sec_file_zone(&self, attr: &str) -> Option<&ZoneEntry> {
         self.secondary.get(attr).map(|m| &m.file_zone)

@@ -94,11 +94,6 @@ impl WriteBatch {
         self.count = 0;
     }
 
-    /// Approximate serialized size.
-    pub fn byte_size(&self) -> usize {
-        self.rep.len()
-    }
-
     /// The encoded operation bodies — everything after the 12-byte
     /// header. This is the unit of concatenation for group commit:
     /// bodies from several batches glued behind a single header decode

@@ -7,7 +7,7 @@
 //! The fed tree folds its operands with [`ConcatMerge`], which is not
 //! idempotent: an operand replayed twice shows up twice in the value.
 
-use ldbpp_common::Result;
+use ldbpp_common::{Error, Result};
 use ldbpp_lsm::db::{CommitView, Db, DbOptions, DeriveOps};
 use ldbpp_lsm::env::{Env, FaultEnv, MemEnv};
 use ldbpp_lsm::merge::ConcatMerge;
@@ -377,28 +377,24 @@ fn an_open_without_the_trees_keeps_their_operations_in_the_log() {
 }
 
 #[test]
-fn a_wal_left_in_the_trees_directory_is_drained_once() {
-    // A build in which every tree logged for itself left this behind:
-    // unflushed operands in a log of the tree's own.
+fn a_log_in_a_trees_directory_fails_the_open() {
+    // A fed tree keeps no log of its own: one found in its directory is a
+    // format this engine does not read. The open refuses, naming the file,
+    // and leaves it where it is.
     let env = MemEnv::new();
-    let legacy = Db::open(env.clone(), TREE, tree_opts()).unwrap();
-    for i in 0..30 {
-        legacy.merge(b"acc", &operand(i)).unwrap();
-    }
-    let legacy_seq = legacy.last_sequence();
-    drop(legacy);
-    assert_eq!(log_files(&env, TREE).len(), 1);
-
-    let expect: Vec<u8> = (0..30).flat_map(operand).collect();
-    for round in 0..2 {
-        let db = open(env.clone());
-        assert_eq!(
-            db.trees()[0].get(b"acc").unwrap().unwrap(),
-            expect,
-            "open {round}"
-        );
-        assert!(log_files(&env, TREE).is_empty(), "open {round}");
-        // The shard's sequence domain starts past what the tree drew.
-        assert!(db.last_sequence() >= legacy_seq);
-    }
+    drop(open(env.clone()));
+    drop(Db::open(env.clone(), TREE, tree_opts()).unwrap());
+    let stray = log_files(&env, TREE);
+    assert_eq!(stray.len(), 1);
+    let err = Db::open_with_trees(
+        env.clone(),
+        PRIMARY,
+        opts(),
+        &[(TREE.to_string(), tree_opts())],
+    )
+    .err()
+    .expect("a log in a fed tree's directory must fail the open");
+    assert!(matches!(err, Error::NotSupported(_)), "{err}");
+    assert!(err.to_string().contains(&stray[0]), "{err}");
+    assert_eq!(log_files(&env, TREE), stray);
 }

@@ -56,7 +56,7 @@ fn corpus_group_commit_lost_leader_wakeup() {
 fn corpus_eager_k_prefix_truncation() {
     let _g = ldbpp_model::exclusive();
     assert_replays(
-        "v1:0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0:b8d71743",
+        "v1:0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0:bedd5989",
         scatter::eager_range(true),
         "eager-k-prefix",
         "not linearizable",
@@ -71,7 +71,7 @@ fn corpus_index_tree_before_wal() {
         ..Default::default()
     };
     assert_replays(
-        "v1:0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.1.1.1.1.1.1.1.1.1.1.1.1.1:7e38db8a",
+        "v1:0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.1.1.1.1.1.1.1.1.1.1.1.1.1:bf72df4d",
         group_commit::two_trees(cfg),
         "index-before-wal",
         "without its primary record",

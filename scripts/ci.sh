@@ -60,7 +60,10 @@
 #      `--example`, and grep gates pinning DESIGN.md §14,
 #      §15, §16, §18 + the README's group-commit, sharding, server,
 #      and chaos coverage);
-#  13. line count (`scripts/loc.sh`): non-test lines of crates/lsm/src and
+#  13. file size: fails when any file under crates/lsm/src is over 1 200
+#      lines, so the engine stays split by responsibility (db.rs and its
+#      commit/recovery/flush modules);
+#  14. line count (`scripts/loc.sh`): non-test lines of crates/lsm/src and
 #      crates/core/src, their total, and the total for all Rust outside
 #      benchmark/ — informational, never fails, so the ROADMAP's
 #      line-count criteria come from a command.
@@ -183,6 +186,14 @@ for workload in static_load static_query net_mixed durable_put; do
 done
 
 ./scripts/check_docs.sh
+
+echo "== file size: no file under crates/lsm/src over 1 200 lines =="
+oversized="$(find crates/lsm/src -name '*.rs' -print0 | xargs -0 wc -l | awk '$2 != "total" && $1 > 1200')"
+if [ -n "$oversized" ]; then
+    echo "over 1 200 lines:"
+    echo "$oversized"
+    exit 1
+fi
 
 echo "== non-test line count (informational) =="
 ./scripts/loc.sh

@@ -20,7 +20,10 @@
 //! root they list the shard directories to inspect instead.
 //!
 //! All commands but `repair` open the database read-mostly (recovery runs
-//! as usual; no writes are issued). `repair` rebuilds the MANIFEST from
+//! as usual; no writes are issued). Every open starts no log: recovery
+//! still replays and flushes what it must, but the tool leaves no new log
+//! file behind — a stand-alone index directory must never hold one, and a
+//! primary's log is started by the database's next real open. `repair` rebuilds the MANIFEST from
 //! whatever is readable on disk, quarantining unreadable files in `lost/`,
 //! then re-opens the result and runs the structural integrity checker. A
 //! shard's one commit log also carries its index trees' operations: repair
@@ -31,7 +34,7 @@
 //! Exit status: 0 when nothing was quarantined and the checker is clean,
 //! 1 otherwise, 2 on usage errors.
 
-use leveldbpp::{repair_db, shard_layout, Db, DbOptions, DiskEnv};
+use leveldbpp::{repair_db, shard_layout, Db, DbOptions, DiskEnv, Result};
 
 fn usage() -> ! {
     eprintln!(
@@ -99,13 +102,23 @@ fn open(dir: &str) -> Db {
         }
         std::process::exit(1);
     }
-    match Db::open(DiskEnv::new(), dir, DbOptions::default()) {
+    match open_engine(dir) {
         Ok(db) => db,
         Err(e) => {
             eprintln!("failed to open {dir}: {e}");
             std::process::exit(1);
         }
     }
+}
+
+/// Open one engine directory the way every command does: without a log,
+/// so that inspecting a database never adds a file to it.
+fn open_engine(dir: &str) -> Result<Db> {
+    let opts = DbOptions {
+        wal_enabled: false,
+        ..DbOptions::default()
+    };
+    Db::open(DiskEnv::new(), dir, opts)
 }
 
 /// Integrity-check one engine; returns the number of violations found
@@ -116,7 +129,7 @@ fn check_one(prefix: &str, dir: &str) -> usize {
         println!("{prefix}not a database (no CURRENT file)");
         return 1;
     }
-    let db = match Db::open(DiskEnv::new(), dir, DbOptions::default()) {
+    let db = match open_engine(dir) {
         Ok(db) => db,
         Err(e) => {
             println!("{prefix}failed to open: {e}");
@@ -178,7 +191,7 @@ fn repair_one(prefix: &str, dir: &str) -> bool {
         println!("{prefix}quarantined: lost/{name}");
     }
     // Re-open the repaired engine and verify the result.
-    let db = match Db::open(DiskEnv::new(), dir, DbOptions::default()) {
+    let db = match open_engine(dir) {
         Ok(db) => db,
         Err(e) => {
             eprintln!("{prefix}repaired database failed to open: {e}");

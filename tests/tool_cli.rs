@@ -139,6 +139,7 @@ fn repair_cli_salvages_and_reports() {
         db_dir.join("lost").read_dir().unwrap().next().is_some(),
         "quarantine directory is empty"
     );
+    assert_eq!(index_dir_logs(&db_dir), Vec::<std::path::PathBuf>::new());
 
     // The repaired tree is clean: a second repair finds nothing wrong.
     let out = tool().args(["repair", &db_path]).output().unwrap();
@@ -166,6 +167,28 @@ fn repair_cli_salvages_and_reports() {
     assert_eq!(out.status.code(), Some(2));
 
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Log files inside the stand-alone index directories of a sharded root.
+/// A fed index tree keeps no log of its own, so inspecting or repairing
+/// one must never leave one behind.
+fn index_dir_logs(root: &std::path::Path) -> Vec<std::path::PathBuf> {
+    let entries = |dir: &std::path::Path| {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .filter_map(|e| e.ok())
+            .map(|e| e.path())
+            .collect::<Vec<_>>()
+    };
+    entries(root)
+        .into_iter()
+        .filter(|p| {
+            let name = p.file_name().unwrap().to_string_lossy();
+            p.is_dir() && name.starts_with("shard-") && name.contains("_idx_")
+        })
+        .flat_map(|dir| entries(&dir))
+        .filter(|p| p.extension().is_some_and(|x| x == "log"))
+        .collect()
 }
 
 #[test]
@@ -213,6 +236,7 @@ fn tool_check_and_repair_iterate_shards() {
     assert!(stdout.contains("shard-1_idx_UserID: clean"), "{stdout}");
     assert!(stdout.contains("total: 0 violation(s)"), "{stdout}");
     assert!(stdout.contains("ok: database is clean"), "{stdout}");
+    assert_eq!(index_dir_logs(&db_dir), Vec::<std::path::PathBuf>::new());
 
     // `stats` on the root points at the shard directories instead.
     let out = tool().args(["stats", &db_path]).output().unwrap();
@@ -263,6 +287,7 @@ fn tool_check_and_repair_iterate_shards() {
             .is_some(),
         "quarantine directory is empty"
     );
+    assert_eq!(index_dir_logs(&db_dir), Vec::<std::path::PathBuf>::new());
 
     // After salvage the whole tree is clean again: repair exits 0, and the
     // surviving records on the undamaged shard are all intact.
@@ -275,6 +300,45 @@ fn tool_check_and_repair_iterate_shards() {
     assert!(String::from_utf8_lossy(&out.stdout).contains("ok: database is clean"));
     let out = tool().args(["check", &db_path]).output().unwrap();
     assert!(out.status.success());
+    assert_eq!(index_dir_logs(&db_dir), Vec::<std::path::PathBuf>::new());
+
+    // The repaired database opens through the facade, and LOOKUP finds
+    // exactly the records that survived.
+    let db = SecondaryDb::open(
+        DiskEnv::new(),
+        &db_path,
+        leveldbpp::SecondaryDbOptions {
+            base: DbOptions::small(),
+            shards: 2,
+            ..Default::default()
+        },
+        &[("UserID", IndexKind::CompositeStandalone)],
+    )
+    .unwrap();
+    let survivors: Vec<usize> = (0..200)
+        .filter(|i| db.get(format!("rec{i:05}")).unwrap().is_some())
+        .collect();
+    let on_shard_0 = (0..200).filter(|i| db.shard_of(format!("rec{i:05}")) == 0);
+    assert!(
+        on_shard_0.clone().count() > 0 && on_shard_0.clone().all(|i| survivors.contains(&i)),
+        "shard-0 was undamaged: {survivors:?}"
+    );
+    for g in 0..4 {
+        let mut got: Vec<String> = db
+            .lookup("UserID", &Value::str(format!("u{g}")), None)
+            .unwrap()
+            .into_iter()
+            .map(|h| String::from_utf8(h.key).unwrap())
+            .collect();
+        got.sort();
+        let expect: Vec<String> = survivors
+            .iter()
+            .filter(|i| *i % 4 == g)
+            .map(|i| format!("rec{i:05}"))
+            .collect();
+        assert_eq!(got, expect, "LOOKUP u{g} after repair");
+    }
+    drop(db);
 
     std::fs::remove_dir_all(&dir).unwrap();
 }

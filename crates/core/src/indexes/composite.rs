@@ -8,7 +8,7 @@
 //! decided — the paper's explanation for Composite losing to Lazy at small
 //! top-K.
 
-use crate::indexes::{fetch_if_valid, IndexKind, LookupHit, SecondaryIndex};
+use crate::indexes::{IndexKind, LookupHit, Posting, SecondaryIndex, TopKLoop};
 use ldbpp_common::coding::{decode_fixed64, put_fixed64};
 use ldbpp_common::Result;
 use ldbpp_lsm::attr::AttrValue;
@@ -40,13 +40,14 @@ impl CompositeIndex {
         key
     }
 
-    /// Scan index entries with `lo ≤ secondary ≤ hi`, returning
-    /// `(secondary, pk, seq)` candidates from **all** levels.
+    /// Every index entry with `lo ≤ secondary ≤ hi`, as a posting, from
+    /// **all** levels: one secondary key's entries are not time-ordered
+    /// across levels, so nothing short of the full range scan bounds them.
     ///
     /// Streams through a bounded [`Db::range_iter`]: index files outside
     /// `[lo, successor(hi)]` are never opened and the merge stops at the
     /// range end, so the scan cost tracks the posting range, not the table.
-    fn scan(&self, lo: &AttrValue, hi: &AttrValue) -> Result<Vec<(AttrValue, Vec<u8>, u64)>> {
+    fn scan(&self, lo: &AttrValue, hi: &AttrValue) -> Result<Vec<Posting>> {
         let lo_key = lo.encode_composite();
         let mut it = match prefix_successor(hi.encode_composite()) {
             // `successor(hi‖…)` over-approximates the inclusive bound on
@@ -69,37 +70,9 @@ impl CompositeIndex {
             if value.len() != 8 {
                 continue; // malformed entry; skip defensively
             }
-            out.push((av, pk.to_vec(), decode_fixed64(&value)));
+            out.push(Posting::insert(pk, decode_fixed64(&value)));
         }
         Ok(out)
-    }
-
-    fn resolve(
-        &self,
-        primary: &Db,
-        mut candidates: Vec<(AttrValue, Vec<u8>, u64)>,
-        k: Option<usize>,
-        pred: impl Fn(&AttrValue) -> bool,
-    ) -> Result<Vec<LookupHit>> {
-        // Unlike Lazy, the candidates only become time-ordered after the
-        // full scan; sort by recency, then validate until K hits. A pk can
-        // appear under several attribute values (stale composite entries
-        // from updates); only its newest candidate may produce a hit.
-        candidates.sort_by_key(|c| std::cmp::Reverse(c.2));
-        let mut hits = Vec::new();
-        let mut seen = std::collections::HashSet::new();
-        for (_av, pk, seq) in candidates {
-            if k.is_some_and(|k| hits.len() >= k) {
-                break;
-            }
-            if !seen.insert(pk.clone()) {
-                continue;
-            }
-            if let Some(doc) = fetch_if_valid(primary, &pk, &self.attr, &pred)? {
-                hits.push(LookupHit { key: pk, seq, doc });
-            }
-        }
-        Ok(hits)
     }
 }
 
@@ -156,20 +129,16 @@ impl SecondaryIndex for CompositeIndex {
         Ok(())
     }
 
-    fn lookup(&self, primary: &Db, value: &AttrValue, k: Option<usize>) -> Result<Vec<LookupHit>> {
-        let candidates = self.scan(value, value)?;
-        self.resolve(primary, candidates, k, |v| v == value)
-    }
-
-    fn range_lookup(
+    fn query(
         &self,
         primary: &Db,
         lo: &AttrValue,
         hi: &AttrValue,
         k: Option<usize>,
     ) -> Result<Vec<LookupHit>> {
-        let candidates = self.scan(lo, hi)?;
-        self.resolve(primary, candidates, k, |v| lo <= v && v <= hi)
+        let mut top = TopKLoop::new(primary, k);
+        top.batch(self.scan(lo, hi)?, 0)?;
+        top.finish()
     }
 
     fn tree(&self) -> Option<(u32, &Arc<Db>)> {

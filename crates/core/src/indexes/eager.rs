@@ -7,12 +7,10 @@
 //! explodes (`WAMF = PL_S · 2·(N+1)·(L−1)`).
 
 use crate::indexes::posting::{decode_postings, encode_postings, fold_postings, Posting};
-use crate::indexes::{fetch_if_valid, IndexKind, LookupHit, SecondaryIndex};
-use crate::topk::TopK;
+use crate::indexes::{IndexKind, LookupHit, SecondaryIndex, TopKLoop};
 use ldbpp_common::Result;
 use ldbpp_lsm::attr::AttrValue;
 use ldbpp_lsm::db::{CommitView, Db};
-use ldbpp_lsm::model_bugs::{self, Fault};
 use ldbpp_lsm::write_batch::BatchOp;
 use std::sync::Arc;
 
@@ -96,85 +94,34 @@ impl SecondaryIndex for EagerIndex {
         self.read_modify_write(view, old_value, remove, out)
     }
 
-    fn lookup(&self, primary: &Db, value: &AttrValue, k: Option<usize>) -> Result<Vec<LookupHit>> {
-        // One read suffices: the newest list shadows all older ones
-        // (Algorithm 2).
-        let postings = match self.table.get(&value.encode())? {
-            Some(bytes) => decode_postings(&bytes)?,
-            None => return Ok(Vec::new()),
-        };
-        let mut hits = Vec::new();
-        for p in postings {
-            if p.deleted {
-                continue;
-            }
-            if let Some(doc) = fetch_if_valid(primary, &p.pk, &self.attr, |v| v == value)? {
-                hits.push(LookupHit {
-                    key: p.pk,
-                    seq: p.seq,
-                    doc,
-                });
-                if Some(hits.len()) == k {
-                    break;
-                }
-            }
-        }
-        Ok(hits)
-    }
-
-    fn range_lookup(
+    fn query(
         &self,
         primary: &Db,
         lo: &AttrValue,
         hi: &AttrValue,
         k: Option<usize>,
     ) -> Result<Vec<LookupHit>> {
-        // Stream every matching list into a min-heap keyed by sequence
-        // number (Algorithm: "retrieve primary keys from the posting list
-        // ... add to the min-heap"). Each list is fully decoded by the
-        // cursor anyway, so admitting all live entries costs no extra I/O
-        // — and, unlike truncating each list to a K-prefix up front, it
-        // cannot under-fill K when stale entries (updates that moved a key
-        // to another value) occupy a list's newest slots: validation below
-        // keeps drawing older candidates until K *valid* hits are found.
-        // Index keys are exactly `AttrValue::encode`, so the encoded
-        // bounds make a tight range for the lazy cursor: no list outside
-        // `[lo, hi]` is decoded and no index file outside the range is
-        // opened.
-        // Seeded bug (model-checker fault injection, off by default):
-        // bound the candidate heap at K before validation, re-creating
-        // the under-fill described above.
-        let cap = k.filter(|_| model_bugs::enabled(Fault::EagerKPrefix));
-        let mut candidates: TopK<Vec<u8>> = TopK::new(cap);
-        let mut it = self.table.range_iter(&lo.encode(), &hi.encode())?;
-        while let Some((key, _seq, bytes)) = it.next_entry()? {
-            let av = AttrValue::decode(&key)?;
-            if av > *hi {
-                break; // defensive: range_iter already ends at hi
+        // Every list in range, as one batch. A LOOKUP reads its one list
+        // with a GET: the newest list shadows all older ones (Algorithm 2).
+        // A range streams the lists through a cursor whose bounds are the
+        // encoded values (index keys are exactly `AttrValue::encode`), so
+        // no list outside `[lo, hi]` is decoded and no index file outside
+        // the range is opened. A stale posting (its record moved to another
+        // value) stays in the old value's list; the loop drops it.
+        let mut postings = Vec::new();
+        if lo == hi {
+            if let Some(bytes) = self.table.get(&lo.encode())? {
+                postings = decode_postings(&bytes)?;
             }
-            for p in decode_postings(&bytes)? {
-                if !p.deleted {
-                    candidates.add(p.seq, p.pk);
-                }
+        } else {
+            let mut it = self.table.range_iter(&lo.encode(), &hi.encode())?;
+            while let Some((_key, _seq, bytes)) = it.next_entry()? {
+                postings.extend(decode_postings(&bytes)?);
             }
         }
-        let in_range = |v: &AttrValue| lo <= v && v <= hi;
-        let mut hits = Vec::new();
-        // A pk can appear under several attribute values (stale entries
-        // from updates); only its newest candidate may produce a hit.
-        let mut seen = std::collections::HashSet::new();
-        for (seq, pk) in candidates.into_sorted() {
-            if Some(hits.len()) == k {
-                break;
-            }
-            if !seen.insert(pk.clone()) {
-                continue;
-            }
-            if let Some(doc) = fetch_if_valid(primary, &pk, &self.attr, in_range)? {
-                hits.push(LookupHit { key: pk, seq, doc });
-            }
-        }
-        Ok(hits)
+        let mut top = TopKLoop::new(primary, k);
+        top.batch(postings, 0)?;
+        top.finish()
     }
 
     fn tree(&self) -> Option<(u32, &Arc<Db>)> {

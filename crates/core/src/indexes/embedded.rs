@@ -249,10 +249,10 @@ impl EmbeddedIndex {
                                 let confirm_newest = |uk: &[u8]| -> Result<bool> {
                                     Ok(!matches!(
                                         primary.newest_record(uk)?,
-                                        Some((ValueType::Value, s)) if s == seq
+                                        Some((ValueType::Value, s, _)) if s == seq
                                     ))
                                 };
-                                let maybe_newer = || primary.get_lite(uk, source);
+                                let maybe_newer = || primary.get_lite(uk, source, &version);
                                 let invalid = match self.validation {
                                     EmbeddedValidation::GetLiteConfirmed => {
                                         maybe_newer() && confirm_newest(uk)?
@@ -314,17 +314,13 @@ impl SecondaryIndex for EmbeddedIndex {
         }
     }
 
-    fn lookup(&self, primary: &Db, value: &AttrValue, k: Option<usize>) -> Result<Vec<LookupHit>> {
-        self.scan(primary, value, value, k, true)
-    }
-
-    fn range_lookup(
+    fn query(
         &self,
         primary: &Db,
         lo: &AttrValue,
         hi: &AttrValue,
         k: Option<usize>,
     ) -> Result<Vec<LookupHit>> {
-        self.scan(primary, lo, hi, k, false)
+        self.scan(primary, lo, hi, k, lo == hi)
     }
 }

@@ -2,20 +2,27 @@
 //!
 //! Writes append posting-list *fragments* (`PUT(a_i, [k])` and nothing
 //! else); fragments scatter across levels and are merged (a) during
-//! compaction via [`PostingListMerge`], and (b) at query time by scanning
-//! level by level. Lookups can stop as soon as top-K is satisfied at the
-//! end of a level, since fragments of one key are time-ordered across
-//! levels.
+//! compaction via [`PostingListMerge`], and (b) at query time, where the
+//! walk hands every fragment it reads to the shared top-K loop
+//! (`TopKLoop`), which validates postings by sequence.
+//!
+//! A LOOKUP walks one key's fragments source by source and can stop as
+//! soon as top-K is satisfied, since fragments of one key are time-ordered
+//! across levels (Algorithm 3). A RANGELOOKUP reads every source in range:
+//! fragments of *different* keys are not time-ordered across levels once
+//! round-robin compaction has pushed some of them deeper, so the paper's
+//! level-end stop (Algorithm 6) could return an older posting of a record
+//! than a deeper level holds.
 
 use crate::indexes::posting::{decode_postings, encode_postings, fold_postings, Posting};
-use crate::indexes::{fetch_if_valid, IndexKind, LookupHit, SecondaryIndex};
+use crate::indexes::{IndexKind, LookupHit, SecondaryIndex, TopKLoop};
 use ldbpp_common::Result;
 use ldbpp_lsm::attr::AttrValue;
 use ldbpp_lsm::db::{CommitView, Db};
 use ldbpp_lsm::ikey::{self, InternalKey, ValueType};
 use ldbpp_lsm::merge::MergeOperator;
 use ldbpp_lsm::write_batch::BatchOp;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::ops::ControlFlow;
 use std::sync::Arc;
 
@@ -70,6 +77,69 @@ impl LazyIndex {
             table,
         }
     }
+
+    /// LOOKUP's walk (Algorithm 3): one key's fragments, newest first —
+    /// memtables, each L0 file, each level — one batch per fragment. One
+    /// key's versions are time-ordered down the sources, so nothing still
+    /// to come is as new as the smallest posting sequence seen so far:
+    /// that is each batch's bound, and the walk stops at the fragment
+    /// after which the loop holds K hits, reading no source beyond it.
+    fn walk_key(&self, key: &[u8], top: &mut TopKLoop<'_>) -> Result<()> {
+        let mut bound = u64::MAX;
+        let mut failed = None;
+        self.table.fold_key_sources(key, |_src, entries| {
+            for (vtype, bytes, _seq) in entries {
+                if *vtype == ValueType::Deletion {
+                    return ControlFlow::Break(()); // a cleared list: nothing older counts
+                }
+                let step = decode_postings(bytes).and_then(|postings| {
+                    bound = postings.iter().fold(bound, |b, p| b.min(p.seq));
+                    top.batch(postings, bound)
+                });
+                match step {
+                    Ok(false) => {}
+                    Ok(true) => return ControlFlow::Break(()),
+                    Err(e) => {
+                        failed = Some(e);
+                        return ControlFlow::Break(());
+                    }
+                }
+            }
+            ControlFlow::Continue(())
+        })?;
+        failed.map_or(Ok(()), Err)
+    }
+
+    /// RANGELOOKUP's walk: every posting of every key in `[lo, hi]` from
+    /// every source. Unlike one key's fragments, different keys are not
+    /// time-ordered across levels once round-robin compaction has pushed
+    /// some of them deeper, so no source bounds the ones below it: the
+    /// paper's level-end stop (Algorithm 6) is not taken.
+    fn range_postings(&self, lo: &[u8], hi: &[u8]) -> Result<Vec<Posting>> {
+        let mut postings = Vec::new();
+        // Keys whose list a newer source cleared (a tombstone written by
+        // `rebuild_indexes`): their older fragments do not count.
+        let mut cleared: HashSet<Vec<u8>> = HashSet::new();
+        // Index keys are exactly `AttrValue::encode`, so the encoded bounds
+        // give the source stack a tight range: files outside it contribute
+        // no iterator, and the lazy ConcatIters open nothing until the seek.
+        for (_src, mut it) in self.table.source_iterators_range(Some((lo, hi)))? {
+            it.seek(&InternalKey::for_seek(lo, ikey::MAX_SEQUENCE).0);
+            while it.valid() {
+                let (key, _seq, vtype) = ikey::parse_internal_key(it.key())?;
+                if key > hi {
+                    break;
+                }
+                if vtype == ValueType::Deletion {
+                    cleared.insert(key.to_vec());
+                } else if !cleared.contains(key) {
+                    postings.extend(decode_postings(it.value())?);
+                }
+                it.next();
+            }
+        }
+        Ok(postings)
+    }
 }
 
 impl SecondaryIndex for LazyIndex {
@@ -107,133 +177,20 @@ impl SecondaryIndex for LazyIndex {
         Ok(())
     }
 
-    fn lookup(&self, primary: &Db, value: &AttrValue, k: Option<usize>) -> Result<Vec<LookupHit>> {
-        // Algorithm 3: walk the fragments level by level (newest first);
-        // after each level, stop if top-K is satisfied.
-        let mut hits: Vec<LookupHit> = Vec::new();
-        let mut seen: HashSet<Vec<u8>> = HashSet::new();
-        let mut validation_error = None;
-        self.table
-            .fold_key_sources(&value.encode(), |_src, entries| {
-                for (vtype, bytes, _entry_seq) in entries {
-                    match vtype {
-                        ValueType::Deletion => return ControlFlow::Break(()),
-                        ValueType::Merge | ValueType::Value => {
-                            let postings = match decode_postings(bytes) {
-                                Ok(p) => p,
-                                Err(e) => {
-                                    validation_error = Some(e);
-                                    return ControlFlow::Break(());
-                                }
-                            };
-                            for p in postings {
-                                if !seen.insert(p.pk.clone()) {
-                                    continue; // newer entry for this pk already seen
-                                }
-                                if p.deleted {
-                                    continue;
-                                }
-                                match fetch_if_valid(primary, &p.pk, &self.attr, |v| v == value) {
-                                    Ok(Some(doc)) => hits.push(LookupHit {
-                                        key: p.pk,
-                                        seq: p.seq,
-                                        doc,
-                                    }),
-                                    Ok(None) => {}
-                                    Err(e) => {
-                                        validation_error = Some(e);
-                                        return ControlFlow::Break(());
-                                    }
-                                }
-                                if k.is_some_and(|k| hits.len() >= k) {
-                                    return ControlFlow::Break(());
-                                }
-                            }
-                        }
-                    }
-                }
-                // End of one level: terminate early if top-K found.
-                if k.is_some_and(|k| hits.len() >= k) {
-                    ControlFlow::Break(())
-                } else {
-                    ControlFlow::Continue(())
-                }
-            })?;
-        if let Some(e) = validation_error {
-            return Err(e);
-        }
-        hits.sort_by_key(|h| std::cmp::Reverse(h.seq));
-        hits.truncate(k.unwrap_or(usize::MAX));
-        Ok(hits)
-    }
-
-    fn range_lookup(
+    fn query(
         &self,
         primary: &Db,
         lo: &AttrValue,
         hi: &AttrValue,
         k: Option<usize>,
     ) -> Result<Vec<LookupHit>> {
-        // Algorithm 6: force the range iterator to scan level by level,
-        // because each secondary key's list may be fragmented across
-        // levels.
-        let lo_enc = lo.encode();
-        let hi_enc = hi.encode();
-        let mut best: HashMap<Vec<u8>, Posting> = HashMap::new();
-        let mut hits: Vec<LookupHit> = Vec::new();
-        let mut validated: HashSet<Vec<u8>> = HashSet::new();
-        let in_range = |v: &AttrValue| lo <= v && v <= hi;
-
-        // Index keys are exactly `AttrValue::encode`, so the encoded bounds
-        // give the source stack a tight range: files outside it contribute
-        // no iterator, and the lazy ConcatIters open nothing until the seek.
-        for (_src, mut it) in self
-            .table
-            .source_iterators_range(Some((&lo_enc, &hi_enc)))?
-        {
-            it.seek(&InternalKey::for_seek(&lo_enc, ikey::MAX_SEQUENCE).0);
-            while it.valid() {
-                let (user_key, _seq, vtype) = ikey::parse_internal_key(it.key())?;
-                let av = AttrValue::decode(user_key)?;
-                if av > *hi {
-                    break;
-                }
-                if vtype != ValueType::Deletion {
-                    for p in decode_postings(it.value())? {
-                        let candidate = best.entry(p.pk.clone()).or_insert_with(|| p.clone());
-                        if p.seq > candidate.seq {
-                            *candidate = p;
-                        }
-                    }
-                }
-                it.next();
-            }
-            // Validate the current candidate pool newest-first; stop at the
-            // end of a level once K hits are confirmed.
-            let mut pool: Vec<&Posting> = best.values().filter(|p| !p.deleted).collect();
-            pool.sort_by_key(|p| std::cmp::Reverse(p.seq));
-            for p in pool {
-                if k.is_some_and(|k| hits.len() >= k) {
-                    break;
-                }
-                if !validated.insert(p.pk.clone()) {
-                    continue;
-                }
-                if let Some(doc) = fetch_if_valid(primary, &p.pk, &self.attr, in_range)? {
-                    hits.push(LookupHit {
-                        key: p.pk.clone(),
-                        seq: p.seq,
-                        doc,
-                    });
-                }
-            }
-            if k.is_some_and(|k| hits.len() >= k) {
-                break;
-            }
+        let mut top = TopKLoop::new(primary, k);
+        if lo == hi {
+            self.walk_key(&lo.encode(), &mut top)?;
+        } else {
+            top.batch(self.range_postings(&lo.encode(), &hi.encode())?, 0)?;
         }
-        hits.sort_by_key(|h| std::cmp::Reverse(h.seq));
-        hits.truncate(k.unwrap_or(usize::MAX));
-        Ok(hits)
+        top.finish()
     }
 
     fn tree(&self) -> Option<(u32, &Arc<Db>)> {

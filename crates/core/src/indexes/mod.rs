@@ -12,13 +12,17 @@ pub use embedded::{EmbeddedIndex, EmbeddedValidation};
 pub use lazy::{LazyIndex, PostingListMerge};
 pub use posting::{decode_postings, encode_postings, Posting};
 
-use crate::doc::{extract_attr, Document};
+use crate::doc::Document;
 use crate::indexes::posting::fold_postings;
 use ldbpp_common::Result;
 use ldbpp_lsm::attr::AttrValue;
 use ldbpp_lsm::check::{CheckCode, IntegrityReport};
 use ldbpp_lsm::db::{CommitView, Db, DbOptions};
+use ldbpp_lsm::ikey::ValueType;
+use ldbpp_lsm::model_bugs::{self, Fault};
 use ldbpp_lsm::write_batch::{BatchOp, WriteBatch};
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BinaryHeap, HashSet};
 use std::sync::Arc;
 
 /// Which secondary-index technique an attribute uses.
@@ -129,12 +133,14 @@ pub trait SecondaryIndex: Send + Sync {
     /// Memory-side bookkeeping once a PUT is committed and visible (the
     /// Embedded Index's memtable-side B-tree).
     fn after_put(&self, _primary: &Db, _pk: &[u8], _doc: &Document, _seq: u64) {}
-    /// `LOOKUP(A, a, K)`: the K most recent valid records with
-    /// `val(A) = a` (K = None ⇒ all).
-    fn lookup(&self, primary: &Db, value: &AttrValue, k: Option<usize>) -> Result<Vec<LookupHit>>;
-    /// `RANGELOOKUP(A, a, b, K)`: the K most recent valid records with
-    /// `a ≤ val(A) ≤ b`.
-    fn range_lookup(
+    /// `RANGELOOKUP(A, lo, hi, K)`: the K most recent valid records with
+    /// `lo ≤ val(A) ≤ hi`, newest first (K = None ⇒ all). `LOOKUP(A, a, K)`
+    /// is the query with `lo == hi == a`.
+    ///
+    /// A stand-alone index answers it by walking its table into a
+    /// `TopKLoop`, which validates every candidate; the Embedded Index
+    /// scans the primary and validates with `GetLite`.
+    fn query(
         &self,
         primary: &Db,
         lo: &AttrValue,
@@ -242,24 +248,87 @@ pub(crate) fn clear_index_table(primary: &Db, tree: u32, table: &Db) -> Result<u
     Ok(batch.count() as usize)
 }
 
-/// Fetch `pk` from the primary table and keep it only if `pred` holds on
-/// its attribute `attr` — the stand-alone indexes' validity check ("we
-/// make sure val(A_i) = a for each entry ... as there could be invalid
-/// keys in the postings list caused by updates on the data table"). The
-/// attribute is read from the record's bytes; the document is parsed only
-/// for a hit.
-pub(crate) fn fetch_if_valid(
-    primary: &Db,
-    pk: &[u8],
-    attr: &str,
-    pred: impl Fn(&AttrValue) -> bool,
-) -> Result<Option<Document>> {
-    let Some(bytes) = primary.get(pk)? else {
-        return Ok(None);
-    };
-    match extract_attr(&bytes, attr)? {
-        Some(v) if pred(&v) => Document::parse(&bytes).map(Some),
-        _ => Ok(None),
+/// The one top-K loop of the stand-alone indexes: the paper's Algorithm 1
+/// heap, validating by sequence and stopping exactly at K hits.
+///
+/// An index only walks its table. It hands the loop batches of postings
+/// ([`TopKLoop::batch`]), each with a *bound*: every posting the walk has
+/// yet to hand over has a sequence below it. The loop keeps all postings in
+/// one max-heap on `seq`; after each batch it pops while the top is at or
+/// above the bound, so postings leave the heap in global recency order.
+///
+/// The newest popped posting of a primary key decides that key. A delete
+/// marker hides it. An insert is a hit iff the primary's newest record for
+/// the key is a `Value` at exactly the posting's sequence — a posting
+/// carries its record's sequence, so this is the whole validity check (the
+/// paper fetches the record and tests `val(A)`; its `GetLite` already
+/// compares sequences). Older postings of a decided key are skipped: if the
+/// newest one is stale, the primary holds something newer still. A
+/// `Document` is parsed only for a hit.
+pub(crate) struct TopKLoop<'a> {
+    primary: &'a Db,
+    k: usize,
+    heap: BinaryHeap<(u64, bool, Vec<u8>)>,
+    decided: HashSet<Vec<u8>>,
+    hits: Vec<LookupHit>,
+    first_batch: bool,
+}
+
+impl<'a> TopKLoop<'a> {
+    /// A loop collecting at most `k` hits (`None` = all) from `primary`.
+    pub(crate) fn new(primary: &'a Db, k: Option<usize>) -> TopKLoop<'a> {
+        TopKLoop {
+            primary,
+            k: k.unwrap_or(usize::MAX),
+            heap: BinaryHeap::new(),
+            decided: HashSet::new(),
+            hits: Vec::new(),
+            first_batch: true,
+        }
+    }
+
+    /// Take a batch of postings, then validate every held posting whose
+    /// sequence is at or above `bound`. Returns `true` once K hits are
+    /// found: the walk can stop.
+    pub(crate) fn batch(&mut self, mut postings: Vec<Posting>, bound: u64) -> Result<bool> {
+        // Seeded bug (model-checker fault injection, off by default):
+        // truncate the first batch to K before validating, so stale
+        // postings crowd out valid older ones and the query under-fills K.
+        if std::mem::take(&mut self.first_batch) && model_bugs::enabled(Fault::EagerKPrefix) {
+            postings.truncate(self.k);
+        }
+        self.heap
+            .extend(postings.into_iter().map(|p| (p.seq, p.deleted, p.pk)));
+        while self.hits.len() < self.k {
+            let Some(top) = self.heap.peek_mut().filter(|top| top.0 >= bound) else {
+                return Ok(false);
+            };
+            let (seq, deleted, pk) = PeekMut::pop(top);
+            if self.decided.contains(&pk) {
+                continue;
+            }
+            if !deleted {
+                if let Some((ValueType::Value, newest, bytes)) = self.primary.newest_record(&pk)? {
+                    if newest == seq {
+                        let doc = Document::parse(&bytes)?;
+                        self.hits.push(LookupHit {
+                            key: pk.clone(),
+                            seq,
+                            doc,
+                        });
+                    }
+                }
+            }
+            self.decided.insert(pk);
+        }
+        Ok(true)
+    }
+
+    /// Validate whatever the walk left in the heap and return the hits,
+    /// newest first.
+    pub(crate) fn finish(mut self) -> Result<Vec<LookupHit>> {
+        self.batch(Vec::new(), 0)?;
+        Ok(self.hits)
     }
 }
 

@@ -446,22 +446,11 @@ impl EngineShard {
         self.commit(&mut batch, Vec::new()).map(|_| ())
     }
 
-    /// This shard's `LOOKUP`: dispatch to the index, the full-scan
-    /// fallback, or an error. Hits come back newest-first, K-bounded.
-    fn lookup(&self, attr: &str, value: &AttrValue, k: Option<usize>) -> Result<Vec<LookupHit>> {
-        match self.index_for(attr) {
-            Some(index) => index.lookup(&self.primary, value, k),
-            None if self.unindexed.iter().any(|a| a == attr) => {
-                self.full_scan_on(attr, |v| v == value, k)
-            }
-            None => Err(Error::not_supported(format!(
-                "no index declared on attribute '{attr}'"
-            ))),
-        }
-    }
-
-    /// This shard's `RANGELOOKUP` (range already validated by the router).
-    fn range_lookup(
+    /// This shard's `RANGELOOKUP` (a `LOOKUP` is `lo == hi`; the range is
+    /// already validated by the router): dispatch to the index, the
+    /// full-scan fallback, or an error. Hits come back newest-first,
+    /// K-bounded.
+    fn query(
         &self,
         attr: &str,
         lo: &AttrValue,
@@ -469,10 +458,9 @@ impl EngineShard {
         k: Option<usize>,
     ) -> Result<Vec<LookupHit>> {
         match self.index_for(attr) {
-            Some(index) => index.range_lookup(&self.primary, lo, hi, k),
+            Some(index) => index.query(&self.primary, lo, hi, k),
             None if self.unindexed.iter().any(|a| a == attr) => {
-                let (lo, hi) = (lo.clone(), hi.clone());
-                self.full_scan_on(attr, move |v| lo <= *v && *v <= hi, k)
+                self.full_scan_on(attr, |v| lo <= v && v <= hi, k)
             }
             None => Err(Error::not_supported(format!(
                 "no index declared on attribute '{attr}'"
@@ -975,12 +963,7 @@ impl SecondaryDb {
         k: Option<usize>,
         mode: ReadMode,
     ) -> Result<Partial<Vec<LookupHit>>> {
-        let value = attr_from_json(value)?;
-        let per_shard = self.scatter_mode(mode, |shard| shard.lookup(attr, &value, k))?;
-        Ok(Partial {
-            value: merge_newest_first(per_shard.value, k, |h| h.seq),
-            failed_shards: per_shard.failed_shards,
-        })
+        self.range_lookup_mode(attr, value, value, k, mode)
     }
 
     /// `RANGELOOKUP(A, a, b, K)`: the K most recent records with
@@ -1010,7 +993,7 @@ impl SecondaryDb {
         if lo > hi {
             return Err(Error::invalid("inverted range"));
         }
-        let per_shard = self.scatter_mode(mode, |shard| shard.range_lookup(attr, &lo, &hi, k))?;
+        let per_shard = self.scatter_mode(mode, |shard| shard.query(attr, &lo, &hi, k))?;
         Ok(Partial {
             value: merge_newest_first(per_shard.value, k, |h| h.seq),
             failed_shards: per_shard.failed_shards,

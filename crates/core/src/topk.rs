@@ -22,7 +22,6 @@ pub struct TopK<T> {
     k: Option<usize>,
     heap: BinaryHeap<Reverse<(u64, u64)>>,
     items: Vec<Option<(u64, T)>>,
-    evicted: usize,
 }
 
 impl<T> TopK<T> {
@@ -32,7 +31,6 @@ impl<T> TopK<T> {
             k,
             heap: BinaryHeap::new(),
             items: Vec::new(),
-            evicted: 0,
         }
     }
 
@@ -77,18 +75,12 @@ impl<T> TopK<T> {
         if self.is_full() {
             if let Some(Reverse((_, idx))) = self.heap.pop() {
                 self.items[idx as usize] = None;
-                self.evicted += 1;
             }
         }
         let idx = self.items.len() as u64;
         self.items.push(Some((seq, item)));
         self.heap.push(Reverse((seq, idx)));
         true
-    }
-
-    /// Number of admitted candidates later displaced by newer ones.
-    pub fn evicted(&self) -> usize {
-        self.evicted
     }
 
     /// Drain into a list ordered newest-first.
@@ -102,7 +94,7 @@ impl<T> TopK<T> {
 /// K-bounded heap merge of per-shard top-K results.
 ///
 /// Every input list must already be sorted newest-first (descending
-/// sequence) — exactly what each index technique's `lookup`/`range_lookup`
+/// sequence) — exactly what each index technique's `query`
 /// returns — and the output preserves that order globally: the K largest
 /// sequences across all lists, ties broken toward the lower shard index so
 /// the merge is deterministic even for equal sequences (which cannot occur
@@ -216,7 +208,6 @@ mod tests {
         assert!(!h.would_admit(10), "ties lose to incumbents");
         assert!(h.would_admit(15));
         assert!(h.add(15, ()));
-        assert_eq!(h.evicted(), 1);
         let seqs: Vec<u64> = h.into_sorted().iter().map(|(s, _)| *s).collect();
         assert_eq!(seqs, vec![20, 15]);
     }

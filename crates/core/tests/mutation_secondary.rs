@@ -168,3 +168,37 @@ fn dangling_check_disarms_after_history_erasure() {
     let report = db.check_integrity();
     assert!(report.is_clean(), "{report}");
 }
+
+#[test]
+fn rebuild_hides_a_misfiled_lazy_posting_from_ranges() {
+    // A posting filed under the wrong value but carrying its record's
+    // sequence passes validation by sequence, and the checker (which looks
+    // for dangling entries only) does not see it. `rebuild_indexes`
+    // tombstones every list before replaying the primary; a RANGELOOKUP
+    // must not read the fragments under that tombstone.
+    let env = MemEnv::new();
+    let db = open(&env, IndexKind::LazyStandalone);
+    let seq = db.put("pk1", &doc("red")).unwrap();
+    db.flush().unwrap();
+    drop(db);
+    let misfiled = encode_postings(&[Posting::insert(b"pk1".to_vec(), seq)]).unwrap();
+    seed_index_entry(
+        &env,
+        IndexKind::LazyStandalone,
+        &AttrValue::str("blue").encode(),
+        &misfiled,
+    );
+    let db = open(&env, IndexKind::LazyStandalone);
+    let (lo, hi) = (Value::str("a"), Value::str("c"));
+    assert_eq!(db.range_lookup("Color", &lo, &hi, None).unwrap().len(), 1);
+    db.rebuild_indexes().unwrap();
+    assert!(db.range_lookup("Color", &lo, &hi, None).unwrap().is_empty());
+    assert!(db
+        .lookup("Color", &Value::str("blue"), None)
+        .unwrap()
+        .is_empty());
+    assert_eq!(
+        db.lookup("Color", &Value::str("red"), None).unwrap().len(),
+        1
+    );
+}

@@ -465,7 +465,12 @@ impl Db {
     /// from in-memory metadata (memtables + index blocks + primary bloom
     /// filters)? No data-block I/O. Bloom false positives make this
     /// conservatively over-report presence.
-    pub fn get_lite(&self, user_key: &[u8], found_in: KeySource) -> bool {
+    ///
+    /// A file source is one of `version`'s, the version the caller's scan
+    /// walks. Once a flush or compaction has installed another, a newer
+    /// record may have moved to the candidate's level or below, where
+    /// "above it" no longer looks, so the answer is a conservative `true`.
+    pub fn get_lite(&self, user_key: &[u8], found_in: KeySource, version: &Version) -> bool {
         let latest = self.last_sequence();
         self.core.vc_consume(latest);
         let rs = self.core.read_state();
@@ -473,6 +478,7 @@ impl Db {
         let below_level = match found_in {
             KeySource::Mem => return false,
             KeySource::Imm => return holds(&rs.mem),
+            _ if !std::ptr::eq(&*rs.version, version) => return true,
             KeySource::L0File(_) => 1,
             KeySource::Level(level) => level,
         };
@@ -514,17 +520,19 @@ impl Db {
         newest(&rs.mem).or_else(|| rs.imm.as_deref().and_then(newest))
     }
 
-    /// The newest record for `user_key` across the whole tree — **including
+    /// The newest record for `user_key` across the whole tree — its type,
+    /// sequence and value bytes (empty for a tombstone) — **including
     /// tombstones**, which [`Db::get`] resolves away. `None` means no source
     /// holds any trace of the key (a tombstone compacted to nothing at the
-    /// base level also reports `None`). Used by the integrity checker to
-    /// distinguish "deleted" from "never written", and to confirm `GetLite`
-    /// positives exactly.
-    pub fn newest_record(&self, user_key: &[u8]) -> Result<Option<(ValueType, u64)>> {
+    /// base level also reports `None`). One fold over the sources, the same
+    /// I/O as a GET. Used by the stand-alone indexes to validate a posting
+    /// by sequence, by the integrity checker to distinguish "deleted" from
+    /// "never written", and to confirm `GetLite` positives exactly.
+    pub fn newest_record(&self, user_key: &[u8]) -> Result<Option<(ValueType, u64, Vec<u8>)>> {
         let mut found = None;
         self.fold_key_sources_at(user_key, None, |_, entries| {
-            if let Some((t, _, s)) = entries.first() {
-                found = Some((*t, *s));
+            if let Some((t, v, s)) = entries.first() {
+                found = Some((*t, *s, v.clone()));
                 return ControlFlow::Break(());
             }
             ControlFlow::Continue(())
@@ -583,6 +591,7 @@ impl Db {
                 KeySource::L0File(f.number),
                 Box::new(ConcatIter::new(
                     Arc::clone(&provider),
+                    Arc::clone(version),
                     vec![Arc::clone(f)],
                     ReadPurpose::Query,
                 )),
@@ -604,6 +613,7 @@ impl Db {
                 KeySource::Level(level),
                 Box::new(ConcatIter::new(
                     Arc::clone(&provider),
+                    Arc::clone(version),
                     files,
                     ReadPurpose::Query,
                 )),

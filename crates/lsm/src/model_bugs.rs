@@ -32,10 +32,11 @@ pub enum Fault {
     /// entry whose primary record does not exist at the same snapshot —
     /// the state a crash between the two steps would also make durable.
     IndexBeforeWal,
-    /// The PR 7 Eager range-lookup bug: truncate the candidate heap to a
-    /// K-prefix *before* validating candidates against the primary. Stale
-    /// postings then crowd out valid older entries and the lookup
-    /// under-fills K — caught by the model's serial-oracle history check.
+    /// The PR 7 Eager range-lookup bug, re-homed in the stand-alone
+    /// indexes' shared top-K loop: truncate the first batch of postings to
+    /// K *before* validating them against the primary. Stale postings then
+    /// crowd out valid older entries and the lookup under-fills K — caught
+    /// by the model's serial-oracle history check.
     EagerKPrefix,
 }
 

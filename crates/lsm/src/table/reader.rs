@@ -9,7 +9,7 @@ use crate::ikey::{self, compare_internal, InternalKey, ValueType};
 use crate::iterator::DbIterator;
 use crate::table::builder::decode_secmeta;
 use crate::table::format::{read_block_contents, BlockHandle, Footer, ReadPurpose, FOOTER_SIZE};
-use crate::version::FileMetaData;
+use crate::version::{FileMetaData, Version};
 use crate::zonemap::{ZoneEntry, ZoneMap};
 use ldbpp_common::{Error, Result};
 use parking_lot::Mutex;
@@ -306,6 +306,10 @@ pub trait TableProvider: Send + Sync {
 /// lands in (later files open only if the scan crosses into them).
 pub struct ConcatIter {
     provider: Arc<dyn TableProvider>,
+    /// The version `files` were taken from. Holding it keeps them on disk:
+    /// a compacted-away file is deleted only once no live version lists
+    /// it, and a file that fails to open ends the iterator silently.
+    _version: Arc<Version>,
     /// The level's files, ordered by key range (disjoint for levels ≥ 1).
     files: Vec<Arc<FileMetaData>>,
     purpose: ReadPurpose,
@@ -314,15 +318,17 @@ pub struct ConcatIter {
 }
 
 impl ConcatIter {
-    /// Build from a level's file metadata, ordered by key range. No file is
-    /// opened until the first seek.
+    /// Build from a level's file metadata in `version`, ordered by key
+    /// range. No file is opened until the first seek.
     pub fn new(
         provider: Arc<dyn TableProvider>,
+        version: Arc<Version>,
         files: Vec<Arc<FileMetaData>>,
         purpose: ReadPurpose,
     ) -> ConcatIter {
         ConcatIter {
             provider,
+            _version: version,
             files,
             purpose,
             file_idx: 0,

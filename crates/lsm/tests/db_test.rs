@@ -231,19 +231,37 @@ fn get_lite_detects_newer_versions_without_io() {
     // Rewrite one key so a newer version sits in the memtable.
     db.put(&k(7), b"newer").unwrap();
     let below = KeySource::Level(deepest);
-    assert!(db.get_lite(&k(7), below), "memtable version detected");
     assert!(
-        !db.get_lite(&k(7), KeySource::Mem),
+        db.get_lite(&k(7), below, &version),
+        "memtable version detected"
+    );
+    assert!(
+        !db.get_lite(&k(7), KeySource::Mem, &version),
         "nothing is newer than the memtable"
     );
 
     let s_before = db.stats().snapshot();
-    let _ = db.get_lite(&k(7), below);
+    let _ = db.get_lite(&k(7), below, &version);
     let s_after = db.stats().snapshot();
     assert_eq!(
         s_after.block_reads, s_before.block_reads,
         "GetLite must not read data blocks"
     );
+
+    // Once a flush installs another version, levels of the old one no
+    // longer bound what is newer: every answer becomes "maybe newer".
+    let l1 = KeySource::Level(1);
+    let quiet: Vec<usize> = (100..110)
+        .filter(|&i| !db.get_lite(&k(i), l1, &version))
+        .collect();
+    assert!(!quiet.is_empty(), "untouched keys have nothing newer");
+    db.flush().unwrap();
+    for i in quiet {
+        assert!(
+            db.get_lite(&k(i), l1, &version),
+            "key {i} judged in a replaced version"
+        );
+    }
 }
 
 #[test]

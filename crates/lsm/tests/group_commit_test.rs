@@ -100,7 +100,7 @@ fn concurrent_writers_acked_readable_with_disjoint_sequence_ranges() {
                     Some(format!("value-{t}-{i}-{j}").as_bytes()),
                     "acked write {key} lost"
                 );
-                let (_, seq) = db.newest_record(key.as_bytes()).unwrap().unwrap();
+                let (_, seq, _) = db.newest_record(key.as_bytes()).unwrap().unwrap();
                 assert_eq!(
                     seq,
                     start + j as u64,

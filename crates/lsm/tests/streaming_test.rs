@@ -184,3 +184,36 @@ fn source_iterators_open_nothing_before_first_seek() {
     let after = db.stats().snapshot().since(&before);
     assert!(after.table_opens > 0, "the seek itself opens tables lazily");
 }
+
+/// A cursor built before a compaction still reads every key after it: the
+/// compaction's inputs stay on disk while the cursor's version is alive.
+/// (A file deleted under a lazy cursor fails to open, and the cursor ends
+/// there without an error — keys silently missing from a scan.)
+#[test]
+fn a_cursor_outlives_the_compaction_of_its_files() {
+    use ldbpp_lsm::env::MemEnv;
+
+    let db = Db::open(
+        MemEnv::new(),
+        "db",
+        DbOptions {
+            auto_compact: false,
+            ..opts()
+        },
+    )
+    .unwrap();
+    for i in 0..600 {
+        db.put(&key(i % 24), format!("v{i:04}").as_bytes()).unwrap();
+        if i % 150 == 149 {
+            db.flush().unwrap();
+        }
+    }
+    let mut it = db.resolved_iter().unwrap();
+    db.major_compact().unwrap();
+    it.seek_to_first();
+    let mut keys = 0;
+    while it.next_entry().unwrap().is_some() {
+        keys += 1;
+    }
+    assert_eq!(keys, 24);
+}

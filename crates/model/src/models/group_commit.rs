@@ -221,7 +221,7 @@ pub fn two_trees(cfg: Config) -> Instance {
             for hit in db.lookup("A", &Value::Int(7), None).expect("lookup") {
                 let record = primary.newest_record(&hit.key).expect("primary read");
                 assert_eq!(
-                    record,
+                    record.map(|(vtype, seq, _)| (vtype, seq)),
                     Some((ValueType::Value, hit.seq)),
                     "LookupHit.seq is not its record's sequence"
                 );

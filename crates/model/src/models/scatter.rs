@@ -200,7 +200,8 @@ impl Spec for RangeSpec {
 
 /// Single Eager-indexed shard with a stale high-sequence posting; a
 /// K=2 range lookup races an out-of-range writer. `k_prefix_bug`
-/// re-enables the PR 7 candidate-heap truncation.
+/// re-enables the PR 7 truncation of the candidates to K before
+/// validation.
 pub fn eager_range(k_prefix_bug: bool) -> Instance {
     super::reset_faults();
     model_bugs::set(Fault::EagerKPrefix, k_prefix_bug);

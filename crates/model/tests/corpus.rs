@@ -56,7 +56,7 @@ fn corpus_group_commit_lost_leader_wakeup() {
 fn corpus_eager_k_prefix_truncation() {
     let _g = ldbpp_model::exclusive();
     assert_replays(
-        "v1:0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0:bedd5989",
+        "v1:0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0:df5fa2a0",
         scatter::eager_range(true),
         "eager-k-prefix",
         "not linearizable",

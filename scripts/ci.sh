@@ -9,7 +9,11 @@
 #      which crash a scripted workload at every I/O-operation index and
 #      verify recovery for the LSM and all five index techniques. The
 #      default budget is bounded (short workloads, capped sweep width);
-#      set CRASH_SWEEP_FULL=1 for the exhaustive long-workload sweep.
+#      set CRASH_SWEEP_FULL=1 for the exhaustive long-workload sweep. Then
+#      the swept index oracle (`randomized_model_equivalence` in
+#      crates/core/tests/indexes_test.rs: every technique against a
+#      brute-force model on `(pk, seq)`, over seeds, K, shard counts and
+#      fg/bg) at INDEX_SWEEP_FULL=1 — 16 seeds, where tier-1 runs 2.
 #   5. analysis gates: the custom lint pass (`scripts/lint.sh`: no
 #      unwrap/expect in non-test engine code, no raw std::sync locks
 #      outside the shims, #[must_use] on public report APIs) and a
@@ -96,6 +100,9 @@ MODEL_FULL="${MODEL_FULL:-0}" cargo test -q -p ldbpp-model --features check
 echo "== crash-recovery sweep (CRASH_SWEEP_FULL=${CRASH_SWEEP_FULL:-0}) =="
 CRASH_SWEEP_FULL="${CRASH_SWEEP_FULL:-0}" cargo test -q -p ldbpp-lsm --test crash
 CRASH_SWEEP_FULL="${CRASH_SWEEP_FULL:-0}" cargo test -q -p ldbpp-core --test crash_secondary
+
+echo "== swept index oracle (INDEX_SWEEP_FULL=1) =="
+INDEX_SWEEP_FULL=1 cargo test -q -p ldbpp-core --test indexes_test randomized_model_equivalence
 
 echo "== contended-writer smoke: group commit under multi-writer load =="
 cargo test -q -p ldbpp-lsm --test group_commit_test

@@ -12,7 +12,7 @@ use crate::indexes::{IndexKind, LookupHit, Posting, SecondaryIndex, TopKLoop};
 use ldbpp_common::coding::{decode_fixed64, put_fixed64};
 use ldbpp_common::Result;
 use ldbpp_lsm::attr::AttrValue;
-use ldbpp_lsm::db::{CommitView, Db};
+use ldbpp_lsm::db::{CommitView, Db, ResolvedIter};
 use ldbpp_lsm::write_batch::BatchOp;
 use std::sync::Arc;
 
@@ -49,10 +49,10 @@ impl CompositeIndex {
     /// range end, so the scan cost tracks the posting range, not the table.
     fn scan(&self, lo: &AttrValue, hi: &AttrValue) -> Result<Vec<Posting>> {
         let lo_key = lo.encode_composite();
-        let mut it = match prefix_successor(hi.encode_composite()) {
+        let it = match prefix_successor(hi.encode_composite()) {
             // `successor(hi‖…)` over-approximates the inclusive bound on
-            // full composite keys; the exact `av > hi` check below trims
-            // the at-most-one surplus key.
+            // full composite keys; the exact `av > hi` check in `entries`
+            // trims the at-most-one surplus key.
             Some(end) => self.table.range_iter(&lo_key, &end)?,
             None => {
                 // All-0xFF prefix: no finite successor, scan unbounded.
@@ -61,19 +61,28 @@ impl CompositeIndex {
                 it
             }
         };
-        let mut out = Vec::new();
-        while let Some((key, _seq, value)) = it.next_entry()? {
-            let (av, pk) = AttrValue::decode_composite(&key)?;
-            if av > *hi {
-                break;
-            }
-            if value.len() != 8 {
-                continue; // malformed entry; skip defensively
-            }
-            out.push(Posting::insert(pk, decode_fixed64(&value)));
-        }
-        Ok(out)
+        entries(it, Some(hi), |_, p| p)
     }
+}
+
+/// The entries a positioned cursor yields up to secondary value `hi`, each
+/// `(value, posting)` mapped by `f`; a malformed entry is skipped.
+fn entries<T>(
+    mut it: ResolvedIter,
+    hi: Option<&AttrValue>,
+    f: impl Fn(AttrValue, Posting) -> T,
+) -> Result<Vec<T>> {
+    let mut out = Vec::new();
+    while let Some((key, _seq, value)) = it.next_entry()? {
+        let (av, pk) = AttrValue::decode_composite(&key)?;
+        if hi.is_some_and(|hi| av > *hi) {
+            break;
+        }
+        if value.len() == 8 {
+            out.push(f(av, Posting::insert(pk, decode_fixed64(&value))));
+        }
+    }
+    Ok(out)
 }
 
 /// Smallest byte string strictly greater than every string that starts
@@ -145,56 +154,9 @@ impl SecondaryIndex for CompositeIndex {
         Some((self.tree, &self.table))
     }
 
-    fn check_integrity(
-        &self,
-        primary: &Db,
-        report: &mut ldbpp_lsm::check::IntegrityReport,
-    ) -> Result<()> {
-        use ldbpp_lsm::check::CheckCode;
-        let ctx = format!("{} index '{}'", self.kind(), self.attr);
-        report.merge(&ctx, self.table.check_integrity());
-        // Cross-check: every live composite entry must reference a primary
-        // key with some record. Deleted entries are LSM tombstones in the
-        // index table itself (invisible here).
-        // Sound only while the primary never erased a key's full history
-        // at the base level (see `check_posting_table` for the argument).
-        let strict = primary.erased_keys() == 0;
+    fn live_entries(&self) -> Result<Vec<(AttrValue, Posting)>> {
         let mut it = self.table.resolved_iter()?;
         it.seek_to_first();
-        while let Some((key, _seq, value)) = it.next_entry()? {
-            let Ok((av, pk)) = AttrValue::decode_composite(&key) else {
-                report.push(
-                    CheckCode::TableUnreadable,
-                    format!("{ctx}: undecodable composite key {key:02x?}"),
-                );
-                continue;
-            };
-            if value.len() != 8 {
-                report.push(
-                    CheckCode::TableUnreadable,
-                    format!(
-                        "{ctx}: entry {av:?}→{:?} has a {}-byte value, want 8",
-                        String::from_utf8_lossy(pk),
-                        value.len()
-                    ),
-                );
-                continue;
-            }
-            let seq = decode_fixed64(&value);
-            if !strict {
-                continue;
-            }
-            if primary.newest_record(pk)?.is_none() {
-                report.push(
-                    CheckCode::DanglingIndexEntry,
-                    format!(
-                        "{ctx}: entry {av:?}→{:?} (seq {seq}) references a \
-                         primary key with no record",
-                        String::from_utf8_lossy(pk)
-                    ),
-                );
-            }
-        }
-        Ok(())
+        entries(it, None, |v, p| (v, p))
     }
 }

@@ -127,12 +127,4 @@ impl SecondaryIndex for EagerIndex {
     fn tree(&self) -> Option<(u32, &Arc<Db>)> {
         Some((self.tree, &self.table))
     }
-
-    fn check_integrity(
-        &self,
-        primary: &Db,
-        report: &mut ldbpp_lsm::check::IntegrityReport,
-    ) -> Result<()> {
-        crate::indexes::check_posting_table(self.kind(), &self.attr, &self.table, primary, report)
-    }
 }

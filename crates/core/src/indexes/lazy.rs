@@ -137,6 +137,7 @@ impl LazyIndex {
                 }
                 it.next();
             }
+            it.status()?;
         }
         Ok(postings)
     }
@@ -195,13 +196,5 @@ impl SecondaryIndex for LazyIndex {
 
     fn tree(&self) -> Option<(u32, &Arc<Db>)> {
         Some((self.tree, &self.table))
-    }
-
-    fn check_integrity(
-        &self,
-        primary: &Db,
-        report: &mut ldbpp_lsm::check::IntegrityReport,
-    ) -> Result<()> {
-        crate::indexes::check_posting_table(self.kind(), &self.attr, &self.table, primary, report)
     }
 }

@@ -12,7 +12,7 @@ pub use embedded::{EmbeddedIndex, EmbeddedValidation};
 pub use lazy::{LazyIndex, PostingListMerge};
 pub use posting::{decode_postings, encode_postings, Posting};
 
-use crate::doc::Document;
+use crate::doc::{extract_attrs, Document};
 use crate::indexes::posting::fold_postings;
 use ldbpp_common::Result;
 use ldbpp_lsm::attr::AttrValue;
@@ -22,7 +22,7 @@ use ldbpp_lsm::ikey::ValueType;
 use ldbpp_lsm::model_bugs::{self, Fault};
 use ldbpp_lsm::write_batch::{BatchOp, WriteBatch};
 use std::collections::binary_heap::PeekMut;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::{BTreeMap, BinaryHeap, HashSet};
 use std::sync::Arc;
 
 /// Which secondary-index technique an attribute uses.
@@ -100,7 +100,10 @@ pub struct LookupHit {
 /// logs, inserts and publishes together with the primary record. `seq` is
 /// that record's sequence number, so postings and composite entries carry
 /// the global recency clock; reads go through `view`, which also shows
-/// the commit's earlier operations.
+/// the commit's earlier operations. What an index holds is checked
+/// against its primary through [`SecondaryIndex::live_entries`], by the
+/// one rule reads use: a posting is current iff it carries its record's
+/// sequence.
 pub trait SecondaryIndex: Send + Sync {
     /// The indexed attribute.
     fn attr(&self) -> &str;
@@ -154,74 +157,91 @@ pub trait SecondaryIndex: Send + Sync {
     fn tree(&self) -> Option<(u32, &Arc<Db>)> {
         None
     }
-    /// Fold this index's structural violations into `report`: the LSM
-    /// checker over any stand-alone table, plus the cross-check that no
-    /// live index entry references a primary key with no record at all.
+    /// Every live entry of a stand-alone index's table as `(value,
+    /// posting)`, newest posting per `(value, pk)`, read through
+    /// [`Db::resolved_iter`] so an index-tree tombstone hides what it
+    /// hides from queries. What the index ≡ primary check compares.
     ///
-    /// An entry whose primary key still carries a tombstone is a stale
-    /// leftover that read-time validation absorbs, not a violation. The
-    /// cross-check is gated on [`Db::erased_keys`]` == 0`: an update
-    /// (u1 → u2) leaves the u1 entry behind by design, and once a delete's
-    /// tombstone has been compacted away at the base level that entry's
-    /// primary key has no record at all — legitimately, crashes or no
-    /// crashes. Short of that, an index entry and its primary record are
-    /// one commit, and a crash can separate them at no point.
-    ///
-    /// Default: nothing to check (the Embedded Index has no structure of
-    /// its own beyond the primary table, which is checked separately).
-    fn check_integrity(&self, _primary: &Db, _report: &mut IntegrityReport) -> Result<()> {
-        Ok(())
+    /// Default: a posting-list table (Eager and Lazy), each key an encoded
+    /// value and each resolved value its list; no entries without a tree.
+    fn live_entries(&self) -> Result<Vec<(AttrValue, Posting)>> {
+        let mut out = Vec::new();
+        let Some((_, table)) = self.tree() else {
+            return Ok(out);
+        };
+        let mut it = table.resolved_iter()?;
+        it.seek_to_first();
+        while let Some((key, _seq, list)) = it.next_entry()? {
+            let value = AttrValue::decode(&key)?;
+            for p in fold_postings(&[decode_postings(&list)?], true) {
+                out.push((value.clone(), p));
+            }
+        }
+        Ok(out)
     }
 }
 
-/// Shared [`SecondaryIndex::check_integrity`] body for the two
-/// posting-list indexes (Eager and Lazy): run the LSM checker on the index
-/// table, then verify every live posting references a primary key that has
-/// *some* record (value or tombstone). Deletion markers are skipped.
-pub(crate) fn check_posting_table(
-    kind: IndexKind,
-    attr: &str,
-    table: &Db,
+/// The exact index ≡ primary check (DESIGN.md §12.3), the one place that
+/// decides what makes a stand-alone index wrong. A posting `(v, pk, seq)`
+/// is current iff the primary's newest record for `pk` is a `Value` at
+/// `seq` (the `TopKLoop` rule); any other is stale, and reads drop it. An
+/// [`CheckCode::IndexMismatch`] is what changes an answer: a live record
+/// without a current posting under its value (missing), a current posting
+/// under another value (misfiled), a posting not older than its key's
+/// newest record, and one above the primary's last sequence.
+pub(crate) fn check_against_primary(
     primary: &Db,
+    indexes: &[Box<dyn SecondaryIndex>],
     report: &mut IntegrityReport,
 ) -> Result<()> {
-    let ctx = format!("{kind} index '{attr}'");
-    report.merge(&ctx, table.check_integrity());
-    // Once the primary has fully erased any key at the base level, a stale
-    // posting (left behind by an update, then orphaned by a delete whose
-    // tombstone was compacted away) is indistinguishable from corruption —
-    // the dangling cross-check is only sound while nothing was ever erased.
-    let strict = primary.erased_keys() == 0;
-    let mut it = table.resolved_iter()?;
+    let attrs: Vec<&str> = indexes.iter().map(|i| i.attr()).collect();
+    // Every live record: its sequence and each attribute's value, taken as
+    // a rebuild takes them. A record that is not a document has none.
+    let mut records: BTreeMap<Vec<u8>, (u64, Vec<Option<AttrValue>>)> = BTreeMap::new();
+    let mut it = primary.resolved_iter()?;
     it.seek_to_first();
-    while let Some((key, _seq, value)) = it.next_entry()? {
-        let postings = match posting::decode_postings(&value) {
-            Ok(p) => p,
-            Err(e) => {
-                report.push(
-                    CheckCode::TableUnreadable,
-                    format!("{ctx}: undecodable posting list at key {key:02x?}: {e}"),
-                );
+    while let Some((pk, seq, bytes)) = it.next_entry()? {
+        let values = extract_attrs(&bytes, &attrs).unwrap_or_else(|_| vec![None; attrs.len()]);
+        records.insert(pk, (seq, values));
+    }
+    let clock = primary.last_sequence();
+    for (i, index) in indexes.iter().enumerate() {
+        if index.tree().is_none() {
+            continue; // the Embedded Index lives in the primary's own tables
+        }
+        let ctx = format!("{} index '{}'", index.kind(), index.attr());
+        let mut current = HashSet::new();
+        for (value, p) in index.live_entries()? {
+            let problem = match records.get(&p.pk) {
+                _ if p.seq > clock => Some(format!("is beyond the last sequence {clock}")),
+                Some((seq, values)) if p.seq == *seq && !p.deleted => {
+                    let filed = values[i].as_ref() == Some(&value);
+                    if filed {
+                        current.insert(p.pk.clone());
+                    }
+                    (!filed).then(|| format!("is current, but the record holds {:?}", values[i]))
+                }
+                Some((seq, _)) => {
+                    (p.seq >= *seq).then(|| format!("is not older than its record (seq {seq})"))
+                }
+                // No live record: only a tombstone can be older than it.
+                None => (primary.newest_record(&p.pk)?)
+                    .filter(|(_, seq, _)| p.seq > *seq)
+                    .map(|(_, seq, _)| format!("is newer than its record (seq {seq})")),
+            };
+            if let Some(problem) = problem {
+                let pk = String::from_utf8_lossy(&p.pk);
+                let detail = format!("{ctx}: posting {value:?}→{pk:?} (seq {}) {problem}", p.seq);
+                report.push(CheckCode::IndexMismatch, detail);
+            }
+        }
+        for (pk, (seq, values)) in &records {
+            let Some(value) = values[i].as_ref().filter(|_| !current.contains(pk)) else {
                 continue;
-            }
-        };
-        // Fold to the newest posting per primary key: older entries are
-        // shadowed and never consulted, so only the newest can dangle.
-        for p in fold_postings(&[postings], true) {
-            if !strict || p.deleted {
-                continue;
-            }
-            if primary.newest_record(&p.pk)?.is_none() {
-                report.push(
-                    CheckCode::DanglingIndexEntry,
-                    format!(
-                        "{ctx}: posting {:?} (seq {}) references a primary key \
-                         with no record",
-                        String::from_utf8_lossy(&p.pk),
-                        p.seq
-                    ),
-                );
-            }
+            };
+            let pk = String::from_utf8_lossy(pk);
+            let detail = format!("{ctx}: record {pk:?} (seq {seq}) has no posting under {value:?}");
+            report.push(CheckCode::IndexMismatch, detail);
         }
     }
     Ok(())

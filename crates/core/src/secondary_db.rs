@@ -32,8 +32,8 @@
 
 use crate::doc::{extract_attr, extract_attrs, Document, JsonAttrExtractor};
 use crate::indexes::{
-    clear_index_table, CompositeIndex, EagerIndex, EmbeddedIndex, EmbeddedValidation, IndexKind,
-    LazyIndex, LookupHit, SecondaryIndex,
+    check_against_primary, clear_index_table, CompositeIndex, EagerIndex, EmbeddedIndex,
+    EmbeddedValidation, IndexKind, LazyIndex, LookupHit, SecondaryIndex,
 };
 use crate::topk::{merge_key_ordered, merge_newest_first, TopK};
 use ldbpp_common::json::Value;
@@ -519,17 +519,25 @@ impl EngineShard {
     /// Run the full structural invariant catalogue over this shard.
     fn check_integrity(&self) -> IntegrityReport {
         let mut report = self.primary.check_integrity();
+        report.violations.extend(self.check_indexes().violations);
+        report
+    }
+
+    /// The index part of [`EngineShard::check_integrity`]: the LSM checker
+    /// over each index tree, then the exact comparison with the primary.
+    fn check_indexes(&self) -> IntegrityReport {
+        let mut report = IntegrityReport::default();
         for index in self.indexes.iter() {
-            if let Err(e) = index.check_integrity(&self.primary, &mut report) {
-                report.push(
-                    CheckCode::TableUnreadable,
-                    format!(
-                        "{} index '{}': integrity scan failed: {e}",
-                        index.kind(),
-                        index.attr()
-                    ),
-                );
+            if let Some((_, table)) = index.tree() {
+                let ctx = format!("{} index '{}'", index.kind(), index.attr());
+                report.merge(&ctx, table.check_integrity());
             }
+        }
+        if let Err(e) = check_against_primary(&self.primary, &self.indexes, &mut report) {
+            report.push(
+                CheckCode::TableUnreadable,
+                format!("index ≡ primary scan failed: {e}"),
+            );
         }
         report
     }
@@ -599,23 +607,27 @@ impl EngineShard {
     }
 
     /// Replay every live primary record into `targets` with its original
-    /// sequence number (so recency ordering is preserved): one commit of
-    /// index-tree operations per record, emitted by the code a PUT runs.
+    /// sequence number, in sequence order (so a Lazy list's fragments lie
+    /// newest-first down the sources, as its LOOKUP walk needs): one commit
+    /// of index-tree operations per record, emitted by the code a PUT runs.
     /// Idempotent — postings and composite entries dedup by primary key.
     fn replay_primary_into(&self, targets: &[&dyn SecondaryIndex]) -> Result<usize> {
-        let view = self.primary.commit_view();
+        let attrs: Vec<&str> = targets.iter().map(|i| i.attr()).collect();
+        let mut records = Vec::new();
         let mut it = self.primary.resolved_iter()?;
         it.seek_to_first();
-        let mut replayed = 0usize;
-        let attrs: Vec<&str> = targets.iter().map(|i| i.attr()).collect();
         while let Some((pk, seq, bytes)) = it.next_entry()? {
-            let Ok(values) = extract_attrs(&bytes, &attrs) else {
-                continue;
-            };
+            if let Ok(values) = extract_attrs(&bytes, &attrs) {
+                records.push((seq, pk, values));
+            }
+        }
+        records.sort_unstable_by_key(|(seq, _, _)| *seq);
+        let view = self.primary.commit_view();
+        for (seq, pk, values) in &records {
             let mut ops = Vec::new();
             for (index, value) in targets.iter().zip(values) {
                 if let Some(value) = value {
-                    index.on_put(&view, &pk, &value, seq, &mut ops)?;
+                    index.on_put(&view, pk, value, *seq, &mut ops)?;
                 }
             }
             let mut batch = WriteBatch::new();
@@ -625,32 +637,25 @@ impl EngineShard {
             if !batch.is_empty() {
                 self.primary.write(&mut batch)?;
             }
-            replayed += 1;
         }
-        Ok(replayed)
+        Ok(records.len())
     }
 
     /// Check this shard and, if its indexes disagree with its primary,
     /// rebuild them and re-check; see [`SecondaryDb::heal`].
     fn heal(&self) -> Result<HealReport> {
-        let full = self.check_integrity();
-        let violations_before = full.violations.len();
-        // Index-attributed violations = full report minus the primary's own.
-        let primary_only = self.primary.check_integrity().violations.len();
-        if violations_before <= primary_only {
-            return Ok(HealReport {
-                violations_before,
-                violations_after: violations_before,
-                rebuilt: false,
-                replayed: 0,
-            });
-        }
-        let replayed = self.rebuild_indexes()?;
-        let after = self.check_integrity();
+        let indexes = self.check_indexes().violations.len();
+        let violations_before = self.primary.check_integrity().violations.len() + indexes;
+        let rebuilt = indexes > 0;
+        let replayed = if rebuilt { self.rebuild_indexes()? } else { 0 };
+        let violations_after = match rebuilt {
+            true => self.check_integrity().violations.len(),
+            false => violations_before,
+        };
         Ok(HealReport {
             violations_before,
-            violations_after: after.violations.len(),
-            rebuilt: true,
+            violations_after,
+            rebuilt,
             replayed,
         })
     }
@@ -796,10 +801,10 @@ impl SecondaryDb {
 
     /// Run the full structural invariant catalogue — the LSM checker over
     /// every shard's primary table, then over every stand-alone index
-    /// table, plus the cross-check that no live index entry references a
-    /// primary key without any record (see
-    /// [`SecondaryIndex::check_integrity`] for the crash-consistency
-    /// tolerances). Each violation is prefixed with its shard
+    /// table, plus the exact comparison of every stand-alone index with
+    /// its primary (DESIGN.md §12.3: a missing, misfiled, or too-new
+    /// posting is a [`CheckCode::IndexMismatch`]; a stale one, which
+    /// reads drop, is not). Each violation is prefixed with its shard
     /// (`shard-i: …`), so corruption is attributed to — and confined
     /// within — the shard that holds it. Intended for a quiesced database;
     /// never fails — errors while scanning an index become violations in
@@ -1154,8 +1159,8 @@ impl SecondaryDb {
     /// primary, rebuild that shard's indexes and re-check — the
     /// self-healing step that follows [`ldbpp_lsm::repair_db`]. Healing is
     /// per shard: a rebuild is triggered only on shards whose indexes
-    /// contribute violations (dangling/ghost postings, unreadable index
-    /// tables), so damage confined to one shard never causes rebuild churn
+    /// contribute violations (index mismatches, unreadable index tables),
+    /// so damage confined to one shard never causes rebuild churn
     /// — or downtime — on the others. Damage confined to a primary table
     /// is reported untouched, since rebuilding indexes from a broken
     /// primary cannot help. The returned report aggregates all shards.

@@ -10,7 +10,7 @@
 //!   caller);
 //! * **index ≡ primary**: a record and its index entries are one log
 //!   record, so `check_integrity` reports no violation at all — no
-//!   `DanglingIndexEntry`, with no tolerance — every acknowledged PUT is
+//!   `IndexMismatch`, with no tolerance — every acknowledged PUT is
 //!   both GETtable and LOOKUPable, and every index answers `LOOKUP` and
 //!   `RANGELOOKUP` **identically to a model rebuilt from the recovered
 //!   primary** (a false negative is permanent data loss);
@@ -242,11 +242,10 @@ fn check_recovery(run: &RunResult, kind: IndexKind, context: &str) -> Model {
         .unwrap_or_else(|e| panic!("reopen must succeed ({context}): {e}"));
 
     // -- Structure: primary and every index table pass the invariant
-    //    catalogue, including the index→primary dangling cross-check,
-    //    which excuses no entry by its sequence number. --
+    //    catalogue, including the exact index ≡ primary comparison. --
     let report = db.check_integrity();
     assert!(
-        !report.has(CheckCode::DanglingIndexEntry) && report.is_clean(),
+        !report.has(CheckCode::IndexMismatch) && report.is_clean(),
         "integrity violations after recovery ({context}):\n{report}"
     );
 

@@ -368,6 +368,9 @@ fn check_against_model(db: &SecondaryDb, seed: u64, kind: IndexKind, pinned: boo
                 assert!(got.windows(2).all(|w| w[0].1 > w[1].1), "{at}: {got:?}");
             }
         }
+        db.wait_for_background_idle().unwrap();
+        let report = db.check_integrity();
+        assert!(report.is_clean(), "{ctx}: step {step}: {report}");
         if pinned {
             for user in 0..8 {
                 for k in [Some(1), Some(5), None] {
@@ -452,6 +455,22 @@ fn lazy_range_reads_below_an_older_list_in_a_higher_level() {
     assert_eq!(all.len(), 201);
     assert_eq!(hit_keys(&all)[0], ("p".to_string(), new));
     assert!(all.windows(2).all(|w| w[0].seq > w[1].seq));
+}
+
+/// `rebuild_indexes` replays the primary in sequence order, so a Lazy
+/// list's fragments lie newest-first down the index tree, as its LOOKUP
+/// walk expects. Replayed in key order, records written in descending key
+/// order would put the oldest posting in the newest source.
+#[test]
+fn rebuild_replays_records_in_sequence_order() {
+    let db =
+        SecondaryDb::open_in_memory(tiny_opts(), &[("UserID", IndexKind::LazyStandalone)]).unwrap();
+    for i in (0..400).rev() {
+        db.put(format!("t{i:04}"), &tweet(1, i, "body")).unwrap();
+    }
+    db.rebuild_indexes().unwrap();
+    let top = db.lookup("UserID", &Value::str("u1"), Some(1)).unwrap();
+    assert_eq!(hit_keys(&top), vec![("t0000".to_string(), 400)]);
 }
 
 #[test]

@@ -136,7 +136,9 @@ fn heal_after_primary_corruption_and_repair() {
         db
     });
     // Bit rot inside a primary data block: some records die with it, and
-    // every stand-alone index now holds postings for the dead.
+    // every stand-alone index now holds postings for the dead. Those are
+    // stale — no record left for them — so every answer stays exact and
+    // there is nothing to rebuild.
     let table = env
         .list(DB)
         .unwrap()
@@ -148,10 +150,7 @@ fn heal_after_primary_corruption_and_repair() {
     repair_all(&env);
     let db = open(env);
     let heal = db.heal().unwrap();
-    assert!(
-        heal.rebuilt,
-        "dangling postings must force a rebuild: {heal:?}"
-    );
+    assert!(!heal.rebuilt, "stale postings need no rebuild: {heal:?}");
     assert!(heal.is_clean(), "{heal:?}");
     let report = db.check_integrity();
     assert!(report.is_clean(), "{report}");
@@ -206,6 +205,46 @@ fn heal_after_index_corruption_and_repair() {
 }
 
 #[test]
+fn heal_after_index_bit_rot_alone() {
+    // Bit rot in the Eager index's table and nothing else: repair drops
+    // the damaged block's lists, so LOOKUP misses records the primary
+    // still holds until `heal` sees the missing postings and rebuilds.
+    let fault = FaultEnv::new(MemEnv::new());
+    let env: Arc<dyn Env> = fault.clone();
+    drop({
+        let db = open(env.clone());
+        populate(&db);
+        db
+    });
+    let eager_table = env
+        .list("sdb_idx_Eager")
+        .unwrap()
+        .into_iter()
+        .find(|n| n.ends_with(".ldb"))
+        .unwrap();
+    fault
+        .flip_byte(&format!("sdb_idx_Eager/{eager_table}"), 32)
+        .unwrap();
+
+    repair_all(&env);
+    let db = open(env);
+    let found = |db: &SecondaryDb| -> usize {
+        (0..4)
+            .map(|g| {
+                let hits = db.lookup("Eager", &Value::str(format!("g{g}")), None);
+                hits.unwrap().len()
+            })
+            .sum()
+    };
+    assert!(found(&db) < 40, "the bit rot cost no posting");
+    let heal = db.heal().unwrap();
+    assert!(heal.rebuilt, "{heal:?}");
+    assert!(heal.is_clean(), "{heal:?}");
+    assert_eq!(found(&db), 40);
+    assert_survivors_fully_readable(&db);
+}
+
+#[test]
 fn heal_after_the_primarys_newest_tables_are_lost() {
     // The primary loses its newest tables and its MANIFEST, so repair
     // brings it back with a last sequence below entries its index trees
@@ -237,9 +276,12 @@ fn heal_after_the_primarys_newest_tables_are_lost() {
     repair_all(&env);
     let db = open(env);
     assert!((40..80).all(|i| db.get(pk(i)).unwrap().is_none()));
+    // The lost records' postings are stale, so `heal` finds nothing to
+    // rebuild; rebuild anyway, to order its tombstones against them.
     let heal = db.heal().unwrap();
-    assert!(heal.rebuilt, "{heal:?}");
+    assert!(!heal.rebuilt, "{heal:?}");
     assert!(heal.is_clean(), "{heal:?}");
+    db.rebuild_indexes().unwrap();
     // Compaction orders a tree's entries by sequence alone: a tombstone
     // that drew a sequence below a stale entry's would lose to it here.
     db.flush().unwrap();

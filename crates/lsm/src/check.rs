@@ -32,10 +32,9 @@
 //! create not-yet-referenced output files or defer deletions for pinned
 //! snapshots, which the file-set check would report as orphans.
 //!
-//! The stand-alone index cross-check (index entries pointing at
-//! nonexistent primary records) lives in `ldbpp-core`, which knows the
-//! index encodings; it folds its findings into the same
-//! [`IntegrityReport`] under [`CheckCode::DanglingIndexEntry`].
+//! The comparison of each stand-alone index with its primary lives in
+//! `ldbpp-core`, which knows the index encodings; it folds its findings
+//! into the same [`IntegrityReport`] under [`CheckCode::IndexMismatch`].
 
 use std::collections::{BTreeSet, HashSet};
 use std::fmt;
@@ -81,9 +80,11 @@ pub enum CheckCode {
     /// A stored attribute value falls outside its block, file, or
     /// manifest zone map — zone pruning would silently skip it.
     ZoneMapLie,
-    /// A stand-alone index entry references a primary key with no trace in
-    /// the primary table (reported by `ldbpp-core`'s cross-check).
-    DanglingIndexEntry,
+    /// A stand-alone index disagrees with its primary in a way that can
+    /// change an answer: a live record without its posting, a current
+    /// posting under the wrong value, or a posting newer than its record
+    /// or than the last sequence (reported by `ldbpp-core`).
+    IndexMismatch,
 }
 
 impl fmt::Display for CheckCode {
@@ -103,7 +104,7 @@ impl fmt::Display for CheckCode {
             CheckCode::TableUnreadable => "table-unreadable",
             CheckCode::BloomFalseNegative => "bloom-false-negative",
             CheckCode::ZoneMapLie => "zone-map-lie",
-            CheckCode::DanglingIndexEntry => "dangling-index-entry",
+            CheckCode::IndexMismatch => "index-mismatch",
         };
         f.pad(name)
     }

@@ -296,16 +296,6 @@ impl Db {
         self.core.inner.lock().versions.last_sequence
     }
 
-    /// Cumulative count of user keys whose entire history was discarded by
-    /// base-level compaction (newest surviving record was a tombstone).
-    /// Persisted in the MANIFEST, so it survives reopen. While zero, every
-    /// key ever written still has at least one record (possibly a
-    /// tombstone) somewhere in the tree — the property the integrity
-    /// checker's dangling-index-entry rule relies on.
-    pub fn erased_keys(&self) -> u64 {
-        self.core.inner.lock().versions.erased_keys
-    }
-
     /// Bumped every time a memtable's contents reach L0 (callers
     /// maintaining memtable-side indexes use this to know when entries
     /// have left memory).
@@ -525,9 +515,7 @@ impl Db {
     /// tombstones**, which [`Db::get`] resolves away. `None` means no source
     /// holds any trace of the key (a tombstone compacted to nothing at the
     /// base level also reports `None`). One fold over the sources, the same
-    /// I/O as a GET. Used by the stand-alone indexes to validate a posting
-    /// by sequence, by the integrity checker to distinguish "deleted" from
-    /// "never written", and to confirm `GetLite` positives exactly.
+    /// I/O as a GET: how a posting or a `GetLite` positive is validated.
     pub fn newest_record(&self, user_key: &[u8]) -> Result<Option<(ValueType, u64, Vec<u8>)>> {
         let mut found = None;
         self.fold_key_sources_at(user_key, None, |_, entries| {
@@ -567,6 +555,9 @@ impl Db {
         self.core.vc_consume(latest);
         let rs = self.core.read_state();
         let provider: Arc<dyn TableProvider> = Arc::clone(&self.core) as Arc<dyn TableProvider>;
+        // Permissive mode skips a corrupt file or block and counts it, as
+        // a GET does.
+        let skip_corrupt = (!self.core.opts.paranoid_checks).then(|| Arc::clone(&self.core.stats));
         let mut out: Vec<(KeySource, Box<dyn DbIterator>)> = Vec::new();
         out.push((
             KeySource::Mem,
@@ -594,6 +585,7 @@ impl Db {
                     Arc::clone(version),
                     vec![Arc::clone(f)],
                     ReadPurpose::Query,
+                    skip_corrupt.clone(),
                 )),
             ));
         }
@@ -616,6 +608,7 @@ impl Db {
                     Arc::clone(version),
                     files,
                     ReadPurpose::Query,
+                    skip_corrupt.clone(),
                 )),
             ));
         }
@@ -969,13 +962,15 @@ impl ResolvedIter {
         self.positioned = true;
     }
 
-    /// The next live `(user_key, newest_seq, value)`.
+    /// The next live `(user_key, newest_seq, value)`. A source that failed
+    /// to read makes the end of the stream an error, not a short answer.
     pub fn next_entry(&mut self) -> Result<Option<ResolvedEntry>> {
         assert!(self.positioned, "seek before iterating");
         while self.it.valid() {
             let (user_key, newest_seq, newest_type) = ikey::parse_internal_key(self.it.key())?;
             if let Some(end) = &self.end {
                 if user_key > end.as_slice() {
+                    self.it.status()?;
                     return Ok(None);
                 }
             }
@@ -1030,6 +1025,7 @@ impl ResolvedIter {
                 }
             }
         }
+        self.it.status()?;
         Ok(None)
     }
 

@@ -101,8 +101,9 @@ impl Db {
     }
 
     /// Block until the background worker has no pending flush and no due
-    /// compaction (no-op in foreground mode). Returns any error the worker
-    /// hit. Useful in tests and benchmarks that want a settled tree.
+    /// compaction (no-op in foreground mode), then delete compacted-away
+    /// files no reader pins any more. Returns any error the worker hit.
+    /// Useful in tests and benchmarks that want a settled tree.
     pub fn wait_for_background_idle(&self) -> Result<()> {
         for tree in &self.core.trees {
             tree.wait_for_background_idle()?;
@@ -120,11 +121,14 @@ impl Db {
                 && pick_compaction(&core.opts, &rs.version, &inner.versions.compact_pointer)
                     .is_some();
             if !flush_pending && !compaction_due {
-                return Ok(());
+                break;
             }
             core.kick_worker();
             core.work_cond.wait(&mut inner);
         }
+        drop(inner);
+        core.gc();
+        Ok(())
     }
 }
 
@@ -399,11 +403,6 @@ impl DbCore {
         let mut builder: Option<(u64, TableBuilder)> = None;
         let mut run_key: Vec<u8> = Vec::new();
         let mut run: Vec<RunEntry> = Vec::new();
-        // User keys whose full history this compaction discards (newest
-        // record a tombstone, merging into the base level). Folded into the
-        // manifest-persisted counter at install time; the integrity checker
-        // uses it to bound what dangling index entries can prove.
-        let erased = std::cell::Cell::new(0u64);
 
         let merge_result = (|| -> Result<()> {
             let emit_run = |builder: &mut Option<(u64, TableBuilder)>,
@@ -423,7 +422,6 @@ impl DbCore {
                     snapshot_boundary,
                 )?;
                 if resolved.is_empty() {
-                    erased.set(erased.get() + 1);
                     return Ok(());
                 }
                 // Rotate output files only between user keys so a key's entries
@@ -474,6 +472,9 @@ impl DbCore {
                 run.push((vtype, seq, merged.value().to_vec()));
                 merged.next();
             }
+            // An input that failed to read ended early: writing the rest
+            // would drop its records for good.
+            merged.status()?;
             let prev_key = std::mem::take(&mut run_key);
             let prev_run = std::mem::take(&mut run);
             emit_run(&mut builder, &mut outputs, &prev_key, &prev_run)?;
@@ -541,7 +542,6 @@ impl DbCore {
 
         {
             let mut inner = self.inner.lock();
-            inner.versions.erased_keys += erased.get();
             if let Err(e) = inner.versions.log_and_apply(edit) {
                 // The outputs were never installed; drop the orphan files
                 // before surfacing the (poisoning) error.

@@ -6,6 +6,7 @@
 //! operands.
 
 use crate::ikey::compare_internal;
+use ldbpp_common::Result;
 use std::cmp::Ordering;
 
 /// A forward iterator over (internal key, value) pairs.
@@ -22,6 +23,12 @@ pub trait DbIterator {
     fn key(&self) -> &[u8];
     /// Current value (requires `valid()`).
     fn value(&self) -> &[u8];
+    /// Why the iterator stopped early, if it did: a source that fails to
+    /// read goes invalid and keeps the error here. Read it once the
+    /// iterator is invalid or the caller stops, not per entry.
+    fn status(&self) -> Result<()> {
+        Ok(())
+    }
 }
 
 /// Merges child iterators into one sorted stream.
@@ -95,6 +102,12 @@ impl DbIterator for MergingIterator {
 
     fn value(&self) -> &[u8] {
         self.children[self.current.expect("valid")].value()
+    }
+
+    /// The first child's error: a failed child drops out of the merge, so
+    /// the merged stream would otherwise end short without one.
+    fn status(&self) -> Result<()> {
+        self.children.iter().try_for_each(|c| c.status())
     }
 }
 

@@ -162,10 +162,8 @@ pub fn repair_db(env: &Arc<dyn Env>, dbname: &str, opts: &DbOptions) -> Result<R
     let mut next_number = max_number + 1;
 
     // Best-effort scan of the old manifests (salvaging reader — they may be
-    // the very thing that is corrupt) for counter floors: last_sequence and
-    // the erased-keys tally that gates strict integrity checking.
+    // the very thing that is corrupt) for the last_sequence floor.
     let mut last_sequence = 0u64;
-    let mut erased_keys = 0u64;
     for fname in &manifest_names {
         let Ok(data) = env.read_all(&format!("{dbname}/{fname}")) else {
             continue;
@@ -177,9 +175,6 @@ pub fn repair_db(env: &Arc<dyn Env>, dbname: &str, opts: &DbOptions) -> Result<R
             };
             if let Some(v) = edit.last_sequence {
                 last_sequence = last_sequence.max(v);
-            }
-            if let Some(v) = edit.erased_keys {
-                erased_keys = erased_keys.max(v);
             }
         }
     }
@@ -329,7 +324,6 @@ pub fn repair_db(env: &Arc<dyn Env>, dbname: &str, opts: &DbOptions) -> Result<R
         log_number: Some(log_number),
         next_file_number: Some(next_number),
         last_sequence: Some(last_sequence),
-        erased_keys: Some(erased_keys),
         flushed_seq: Some(last_sequence),
         ..Default::default()
     };

@@ -274,13 +274,16 @@ impl Table {
         }
     }
 
-    /// An iterator over every entry of the table.
+    /// An iterator over every entry of the table; a block that fails to
+    /// read ends it, with the error as its [`DbIterator::status`].
     pub fn iter(self: &Arc<Table>, purpose: ReadPurpose) -> TableIter {
         TableIter {
             table: Arc::clone(self),
             purpose,
             block_idx: 0,
             block_iter: None,
+            skip_corrupt: false,
+            error: None,
         }
     }
 }
@@ -308,13 +311,17 @@ pub struct ConcatIter {
     provider: Arc<dyn TableProvider>,
     /// The version `files` were taken from. Holding it keeps them on disk:
     /// a compacted-away file is deleted only once no live version lists
-    /// it, and a file that fails to open ends the iterator silently.
+    /// it.
     _version: Arc<Version>,
     /// The level's files, ordered by key range (disjoint for levels ≥ 1).
     files: Vec<Arc<FileMetaData>>,
     purpose: ReadPurpose,
+    /// Permissive reads (`paranoid_checks` off): where to count a corrupt
+    /// file or block the scan skips. `None`: corruption ends the scan.
+    skip_corrupt: Option<Arc<IoStats>>,
     file_idx: usize,
     iter: Option<TableIter>,
+    error: Option<Error>,
 }
 
 impl ConcatIter {
@@ -325,41 +332,56 @@ impl ConcatIter {
         version: Arc<Version>,
         files: Vec<Arc<FileMetaData>>,
         purpose: ReadPurpose,
+        skip_corrupt: Option<Arc<IoStats>>,
     ) -> ConcatIter {
         ConcatIter {
             provider,
             _version: version,
             files,
             purpose,
+            skip_corrupt,
             file_idx: 0,
             iter: None,
+            error: None,
         }
     }
 
-    fn open_file(&mut self, idx: usize) -> bool {
-        if idx >= self.files.len() {
-            self.iter = None;
-            return false;
-        }
-        match self.provider.open_table(&self.files[idx]) {
-            Ok(table) => {
-                self.file_idx = idx;
-                self.iter = Some(table.iter(self.purpose));
-                true
+    /// Open file `idx`, or in permissive mode the first later one that is
+    /// not corrupt. A failure ends the iterator and becomes its status.
+    fn open_file(&mut self, mut idx: usize) -> bool {
+        self.iter = None;
+        while idx < self.files.len() {
+            match self.provider.open_table(&self.files[idx]) {
+                Ok(table) => {
+                    self.file_idx = idx;
+                    let mut it = table.iter(self.purpose);
+                    it.skip_corrupt = self.skip_corrupt.is_some();
+                    self.iter = Some(it);
+                    return true;
+                }
+                Err(e) => match &self.skip_corrupt {
+                    Some(stats) if e.is_corruption() => {
+                        IoStats::add(&stats.corrupt_blocks_skipped, 1);
+                        idx += 1;
+                    }
+                    _ => {
+                        self.error = Some(e);
+                        return false;
+                    }
+                },
             }
-            Err(_) => {
-                // Open failure invalidates the iterator (the DbIterator
-                // contract has no error channel), matching TableIter.
-                self.iter = None;
-                false
-            }
         }
+        false
     }
 
+    /// Move past exhausted files; a failed file stays, for its status.
     fn skip_exhausted(&mut self) {
-        while self.iter.as_ref().map(|it| !it.valid()).unwrap_or(false) {
-            let next = self.file_idx + 1;
-            if !self.open_file(next) {
+        while self
+            .iter
+            .as_ref()
+            .is_some_and(|it| !it.valid() && it.status().is_ok())
+        {
+            if !self.open_file(self.file_idx + 1) {
                 return;
             }
             if let Some(it) = self.iter.as_mut() {
@@ -406,6 +428,13 @@ impl crate::iterator::DbIterator for ConcatIter {
     fn value(&self) -> &[u8] {
         self.iter.as_ref().expect("valid").value()
     }
+
+    fn status(&self) -> Result<()> {
+        match &self.error {
+            Some(e) => Err(e.clone()),
+            None => self.iter.as_ref().map_or(Ok(()), |it| it.status()),
+        }
+    }
 }
 
 /// Two-level iterator over a table's entries.
@@ -414,25 +443,35 @@ pub struct TableIter {
     purpose: ReadPurpose,
     block_idx: usize,
     block_iter: Option<BlockIter>,
+    /// Permissive reads: skip a corrupt block, counted as
+    /// `corrupt_blocks_skipped`, instead of ending with an error.
+    skip_corrupt: bool,
+    error: Option<Error>,
 }
 
 impl TableIter {
-    fn load_block(&mut self, idx: usize) -> bool {
-        if idx >= self.table.num_blocks() {
-            self.block_iter = None;
-            return false;
-        }
-        match self.table.read_data_block(idx, self.purpose) {
-            Ok(block) => {
-                self.block_idx = idx;
-                self.block_iter = Some(block.iter(compare_internal));
-                true
+    /// Load block `idx`, or in permissive mode the first later one that is
+    /// not corrupt. A failure ends the iterator and becomes its status.
+    fn load_block(&mut self, mut idx: usize) -> bool {
+        self.block_iter = None;
+        while idx < self.table.num_blocks() {
+            match self.table.read_data_block(idx, self.purpose) {
+                Ok(block) => {
+                    self.block_idx = idx;
+                    self.block_iter = Some(block.iter(compare_internal));
+                    return true;
+                }
+                Err(e) if self.skip_corrupt && e.is_corruption() => {
+                    IoStats::add(&self.table.stats.corrupt_blocks_skipped, 1);
+                    idx += 1;
+                }
+                Err(e) => {
+                    self.error = Some(e);
+                    return false;
+                }
             }
-            Err(_) => {
-                self.block_iter = None;
-                false
-            }
         }
+        false
     }
 
     fn skip_empty_blocks(&mut self) {
@@ -493,5 +532,9 @@ impl DbIterator for TableIter {
 
     fn value(&self) -> &[u8] {
         self.block_iter.as_ref().expect("valid").value()
+    }
+
+    fn status(&self) -> Result<()> {
+        self.error.clone().map_or(Ok(()), Err)
     }
 }

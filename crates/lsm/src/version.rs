@@ -265,7 +265,8 @@ const TAG_LAST_SEQ: u32 = 3;
 const TAG_COMPACT_POINTER: u32 = 4;
 const TAG_DELETED_FILE: u32 = 5;
 const TAG_NEW_FILE: u32 = 6;
-const TAG_ERASED_KEYS: u32 = 7;
+/// Retired (a count of fully erased keys); decoding skips it.
+const TAG_RETIRED_ERASED_KEYS: u32 = 7;
 const TAG_FLUSHED_SEQ: u32 = 8;
 
 /// A delta between two versions, logged to the MANIFEST.
@@ -277,11 +278,6 @@ pub struct VersionEdit {
     pub next_file_number: Option<u64>,
     /// Last sequence number used.
     pub last_sequence: Option<u64>,
-    /// Cumulative count of user keys whose entire history has been erased
-    /// by base-level compaction (newest record was a tombstone). Monotone;
-    /// consumed by the integrity checker to decide whether a dangling
-    /// secondary-index entry is provably corruption or merely stale.
-    pub erased_keys: Option<u64>,
     /// Largest sequence number whose operations on this tree are all in
     /// its tables. A tree fed by another table's commit log (a stand-alone
     /// index) replays only operations above it, so a log record is never
@@ -319,10 +315,6 @@ impl VersionEdit {
         }
         if let Some(v) = self.last_sequence {
             put_varint32(&mut out, TAG_LAST_SEQ);
-            put_varint64(&mut out, v);
-        }
-        if let Some(v) = self.erased_keys {
-            put_varint32(&mut out, TAG_ERASED_KEYS);
             put_varint64(&mut out, v);
         }
         if let Some(v) = self.flushed_seq {
@@ -370,10 +362,9 @@ impl VersionEdit {
                     pos += n;
                     edit.last_sequence = Some(v);
                 }
-                TAG_ERASED_KEYS => {
-                    let (v, n) = get_varint64(&src[pos..])?;
+                TAG_RETIRED_ERASED_KEYS => {
+                    let (_, n) = get_varint64(&src[pos..])?;
                     pos += n;
-                    edit.erased_keys = Some(v);
                 }
                 TAG_FLUSHED_SEQ => {
                     let (v, n) = get_varint64(&src[pos..])?;
@@ -426,9 +417,6 @@ pub struct VersionSet {
     pub last_sequence: u64,
     /// Current WAL file number.
     pub log_number: u64,
-    /// Cumulative count of user keys fully erased at the base level (see
-    /// [`VersionEdit::erased_keys`]). Persisted with every edit.
-    pub erased_keys: u64,
     /// See [`VersionEdit::flushed_seq`]. Persisted with every edit; a
     /// MANIFEST written before the field existed recovers it as
     /// `last_sequence` (such a tree was flushed whole by its own recovery).
@@ -467,7 +455,6 @@ impl VersionSet {
             next_file_number: 3,
             last_sequence: 0,
             log_number: 2,
-            erased_keys: 0,
             flushed_seq: 0,
             compact_pointer: vec![Vec::new(); num_levels],
             manifest_number,
@@ -489,7 +476,6 @@ impl VersionSet {
         let mut next_file_number = 3;
         let mut last_sequence = 0;
         let mut log_number = 2;
-        let mut erased_keys = 0;
         let mut flushed_seq = None;
         let mut compact_pointer = vec![Vec::new(); num_levels];
         let mut recovered_edits = 0u64;
@@ -505,9 +491,6 @@ impl VersionSet {
             }
             if let Some(v) = edit.log_number {
                 log_number = v;
-            }
-            if let Some(v) = edit.erased_keys {
-                erased_keys = v;
             }
             if edit.flushed_seq.is_some() {
                 flushed_seq = edit.flushed_seq;
@@ -531,7 +514,6 @@ impl VersionSet {
             log_number: Some(log_number),
             next_file_number: Some(next_file_number),
             last_sequence: Some(last_sequence),
-            erased_keys: Some(erased_keys),
             flushed_seq: Some(flushed_seq),
             ..Default::default()
         };
@@ -558,7 +540,6 @@ impl VersionSet {
             next_file_number,
             last_sequence,
             log_number,
-            erased_keys,
             flushed_seq,
             compact_pointer,
             manifest_number,
@@ -582,7 +563,6 @@ impl VersionSet {
     pub fn log_and_apply(&mut self, mut edit: VersionEdit) -> Result<()> {
         edit.next_file_number = Some(self.next_file_number);
         edit.last_sequence = Some(self.last_sequence);
-        edit.erased_keys = Some(self.erased_keys);
         edit.flushed_seq = Some(self.flushed_seq);
         if edit.log_number.is_none() {
             edit.log_number = Some(self.log_number);
@@ -695,6 +675,35 @@ mod tests {
         edit.add_file(2, meta(9, b"a", b"m"));
         let decoded = VersionEdit::decode(&edit.encode()).unwrap();
         assert_eq!(decoded, edit);
+    }
+
+    #[test]
+    fn edit_decode_discards_the_retired_erased_keys_tag() {
+        // An edit in the older encoding, which put the erased-keys counter
+        // (tag 7) between the last sequence and the flushed sequence.
+        let mut bytes = VersionEdit {
+            log_number: Some(2),
+            last_sequence: Some(50),
+            ..Default::default()
+        }
+        .encode();
+        put_varint32(&mut bytes, TAG_RETIRED_ERASED_KEYS);
+        put_varint64(&mut bytes, 3);
+        let rest = VersionEdit {
+            flushed_seq: Some(40),
+            new_files: vec![(1, meta(9, b"a", b"m"))],
+            ..Default::default()
+        };
+        bytes.extend(rest.encode());
+        let decoded = VersionEdit::decode(&bytes).unwrap();
+        assert_eq!(
+            decoded,
+            VersionEdit {
+                log_number: Some(2),
+                last_sequence: Some(50),
+                ..rest
+            }
+        );
     }
 
     #[test]

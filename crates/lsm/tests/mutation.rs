@@ -311,26 +311,3 @@ fn manifest_mismatch_detected() {
         .any(|v| v.code == CheckCode::ManifestMismatch && v.detail.contains("777"));
     assert!(phantom_named, "{report}");
 }
-
-#[test]
-fn erased_keys_counter_persists() {
-    let env = MemEnv::new();
-    let opts = DbOptions {
-        auto_compact: false,
-        ..DbOptions::small()
-    };
-    let db = Db::open(env.clone(), DB, opts.clone()).unwrap();
-    db.put(b"gone", b"v").unwrap();
-    db.flush().unwrap();
-    db.delete(b"gone").unwrap();
-    db.flush().unwrap();
-    assert_eq!(db.erased_keys(), 0);
-    // Compacting to the base level discards the key's entire history
-    // (tombstone included) — the manifest must remember that forever.
-    db.major_compact().unwrap();
-    assert!(db.erased_keys() > 0, "compaction did not count the erasure");
-    let counted = db.erased_keys();
-    drop(db);
-    let db = Db::open(env, DB, opts).unwrap();
-    assert_eq!(db.erased_keys(), counted, "counter lost across reopen");
-}

@@ -291,8 +291,8 @@ impl Spec for DeleteSpec {
 /// list become visible in one publish, so every window is linearizable:
 /// `Lookup -> []` is never followed by `Get -> found`.
 ///
-/// The final state must additionally pass the posting-table integrity
-/// scan with no dangling posting.
+/// The final state must additionally pass the index ≡ primary check with
+/// no mismatch.
 pub fn delete_vs_lookup() -> Instance {
     super::reset_faults();
     let db = open(1, &[("A", IndexKind::EagerStandalone)]);
@@ -333,16 +333,16 @@ pub fn delete_vs_lookup() -> Instance {
         check: Box::new(move || {
             check_linearizable(&DeleteSpec, &rec.take())?;
             let report = db.check_integrity();
-            let dangling: Vec<String> = report
+            let mismatches: Vec<String> = report
                 .violations
                 .iter()
-                .filter(|v| v.code == CheckCode::DanglingIndexEntry)
+                .filter(|v| v.code == CheckCode::IndexMismatch)
                 .map(|v| v.detail.clone())
                 .collect();
-            if dangling.is_empty() {
+            if mismatches.is_empty() {
                 Ok(())
             } else {
-                Err(format!("dangling index entries: {}", dangling.join("; ")))
+                Err(format!("index ≢ primary: {}", mismatches.join("; ")))
             }
         }),
     }

@@ -16,7 +16,9 @@
 #      quickstart, the model checker, and running under chaos; DESIGN.md
 #      §11 must keep the single-commit-log contract and its
 #      "index ≡ primary" guarantee → test row —
-#      docs that tests and comments point at may not silently disappear.
+#      docs that tests and comments point at may not silently disappear;
+#   5. every `CheckCode` display name in crates/lsm/src/check.rs has a row
+#      in DESIGN.md §12.3's catalogue table.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -129,5 +131,21 @@ grep -q "^## 18\. Network failure model" DESIGN.md \
 grep -q "Running under chaos" README.md \
     || { echo "README.md: missing the 'Running under chaos' subsection"; exit 1; }
 echo "required sections present"
+
+echo "== check codes catalogued =="
+python3 - <<'PYEOF'
+import re, sys
+
+codes = re.findall(r'CheckCode::\w+ => "([a-z-]+)"', open("crates/lsm/src/check.rs").read())
+design = open("DESIGN.md", encoding="utf-8").read()
+section = re.search(r"^### 12\.3 .*?(?=^##)", design, flags=re.S | re.M)
+rows = [l for l in section.group(0).splitlines() if l.startswith("|")] if section else []
+catalogued = set(re.findall(r"`([a-z-]+)`", "\n".join(rows)))
+missing = [c for c in codes if c not in catalogued]
+if not codes or missing:
+    print("DESIGN.md §12.3 catalogue misses check codes: " + ", ".join(missing or ["(none parsed)"]))
+    sys.exit(1)
+print(f"{len(codes)} check codes catalogued")
+PYEOF
 
 echo "docs OK"

@@ -30,7 +30,10 @@
 //! keeps them out of the primary table and leaves them in the log for the
 //! trees; if the log itself had to be quarantined, reopen through
 //! `SecondaryDb` and run `heal()` / `rebuild_indexes()` as after any
-//! quarantine.
+//! quarantine. `check` runs the structural checker on each engine alone;
+//! comparing an index with its primary needs the index configuration, so
+//! that check is `SecondaryDb::check_integrity`, and `heal()` rebuilds an
+//! index it finds missing, misfiling or hiding records.
 //! Exit status: 0 when nothing was quarantined and the checker is clean,
 //! 1 otherwise, 2 on usage errors.
 

@@ -6,7 +6,7 @@
 //! operation indices in foreground and background mode, reopened, and
 //! checked for primary/secondary equivalence — a record and its index
 //! entries are one log record, so the integrity check must come back with
-//! no dangling index entry, tolerating none. Kept deliberately small so the root test suite stays fast;
+//! no index mismatch, tolerating none. Kept deliberately small so the root test suite stays fast;
 //! the per-crate harnesses do the full per-index, per-mode sweeps.
 
 use leveldbpp::{
@@ -105,7 +105,7 @@ fn smoke_all_index_kinds(background: bool) {
             // Index ≡ primary, with no tolerance...
             let report = db.check_integrity();
             assert!(
-                !report.has(CheckCode::DanglingIndexEntry) && report.is_clean(),
+                !report.has(CheckCode::IndexMismatch) && report.is_clean(),
                 "{kind:?} bg={background}: crash at op {k}:\n{report}"
             );
             // ...every acked put is durable...

@@ -97,8 +97,10 @@ impl LazyIndex {
                     top.batch(postings, bound)
                 });
                 match step {
-                    Ok(false) => {}
-                    Ok(true) => return ControlFlow::Break(()),
+                    // A `Value` is a full list, the base of the merge:
+                    // nothing older counts, as in `resolved_iter`.
+                    Ok(false) if *vtype != ValueType::Value => {}
+                    Ok(_) => return ControlFlow::Break(()),
                     Err(e) => {
                         failed = Some(e);
                         return ControlFlow::Break(());
@@ -117,8 +119,9 @@ impl LazyIndex {
     /// paper's level-end stop (Algorithm 6) is not taken.
     fn range_postings(&self, lo: &[u8], hi: &[u8]) -> Result<Vec<Posting>> {
         let mut postings = Vec::new();
-        // Keys whose list a newer source cleared (a tombstone written by
-        // `rebuild_indexes`): their older fragments do not count.
+        // Keys whose chain a newer entry ended (a tombstone written by
+        // `rebuild_indexes`, or a full list): their older fragments do not
+        // count.
         let mut cleared: HashSet<Vec<u8>> = HashSet::new();
         // Index keys are exactly `AttrValue::encode`, so the encoded bounds
         // give the source stack a tight range: files outside it contribute
@@ -130,10 +133,15 @@ impl LazyIndex {
                 if key > hi {
                     break;
                 }
-                if vtype == ValueType::Deletion {
-                    cleared.insert(key.to_vec());
-                } else if !cleared.contains(key) {
-                    postings.extend(decode_postings(it.value())?);
+                // A tombstone or a full list (`Value`) ends the key's
+                // chain: fragments older than it do not count.
+                if !cleared.contains(key) {
+                    if vtype != ValueType::Deletion {
+                        postings.extend(decode_postings(it.value())?);
+                    }
+                    if vtype != ValueType::Merge {
+                        cleared.insert(key.to_vec());
+                    }
                 }
                 it.next();
             }

@@ -364,3 +364,31 @@ fn rebuild_hides_a_misfiled_lazy_posting_from_ranges() {
         1
     );
 }
+
+#[test]
+fn lazy_reads_stop_at_a_full_list() {
+    // A full list (`Value`) over older fragments of the same key is the
+    // base of the merge: compaction and the check's resolved view drop
+    // the fragments below it, and so must LOOKUP and RANGELOOKUP.
+    let env = MemEnv::new();
+    let kind = IndexKind::LazyStandalone;
+    let db = open(&env, kind);
+    db.put("pk1", &doc("red")).unwrap();
+    let seq2 = db.put("pk2", &doc("red")).unwrap();
+    db.flush().unwrap();
+    drop(db);
+    with_index_table(&env, kind, |table| {
+        let list = encode_postings(&[Posting::insert(b"pk2".to_vec(), seq2)]).unwrap();
+        table.put(&AttrValue::str("red").encode(), &list).unwrap();
+    });
+    let db = open(&env, kind);
+    let range = |db: &SecondaryDb| {
+        let (lo, hi) = (Value::str("a"), Value::str("z"));
+        keys(db.range_lookup("Color", &lo, &hi, None).unwrap())
+    };
+    assert_eq!(lookup(&db, "red"), ["pk2"]);
+    assert_eq!(range(&db), ["pk2"]);
+    assert_one_mismatch_then_heal(&db, kind, "record \"pk1\"");
+    assert_eq!(lookup(&db, "red"), ["pk2", "pk1"]);
+    assert_eq!(range(&db), ["pk2", "pk1"]);
+}

@@ -38,10 +38,17 @@ pub enum Fault {
     /// crowd out valid older entries and the lookup under-fills K — caught
     /// by the model's serial-oracle history check.
     EagerKPrefix,
+    /// `scan_primary` opens each shard's cursor at that shard's latest
+    /// sequence instead of the clock value pinned before the first shard
+    /// is read: a write committed on a later shard while an earlier one
+    /// was being read shows up without the writes before it — cross-shard
+    /// read skew, caught by the model's serial-oracle history check.
+    UnpinnedScan,
 }
 
 #[cfg(feature = "check")]
-static FLAGS: [AtomicBool; 4] = [
+static FLAGS: [AtomicBool; 5] = [
+    AtomicBool::new(false),
     AtomicBool::new(false),
     AtomicBool::new(false),
     AtomicBool::new(false),

@@ -372,9 +372,8 @@ fn preempt_cost(f: &Frame) -> u32 {
 
 /// Maps raw scheduler object ids (global counters, different every
 /// process) to dense per-run ids keyed by first appearance, so seeds
-/// and divergence checks are stable across processes. Thread indices
-/// (the `obj` of Start/Join/Yield/Gate ops) are already stable and pass
-/// through unchanged.
+/// and divergence checks are stable across processes. The `obj` of
+/// Start/Yield/Gate ops is already stable and passes through unchanged.
 #[derive(Default)]
 struct Normalizer {
     map: HashMap<(u8, u64), u64>,
@@ -391,7 +390,7 @@ fn obj_namespace(kind: OpKind) -> Option<u8> {
         OpKind::CondNotify => Some(1),
         OpKind::AtomicLoad | OpKind::AtomicStore | OpKind::AtomicRmw => Some(2),
         OpKind::ChanSend | OpKind::ChanRecv => Some(3),
-        OpKind::Start | OpKind::Join | OpKind::Yield | OpKind::Gate => None,
+        OpKind::Start | OpKind::Yield | OpKind::Gate => None,
     }
 }
 
@@ -418,6 +417,8 @@ fn normalize(norm: &mut Normalizer, enabled: &[sched::EnabledOp]) -> Vec<(usize,
         .collect()
 }
 
+/// Codes are part of every seed's fingerprint, so they never change; 12
+/// is unused.
 fn kind_code(kind: OpKind) -> u8 {
     match kind {
         OpKind::Start => 0,
@@ -432,7 +433,6 @@ fn kind_code(kind: OpKind) -> u8 {
         OpKind::AtomicRmw => 9,
         OpKind::ChanSend => 10,
         OpKind::ChanRecv => 11,
-        OpKind::Join => 12,
         OpKind::Gate => 13,
         OpKind::Yield => 14,
     }

@@ -4,7 +4,9 @@
 //! Under `--features check` the vendored `parking_lot`/`crossbeam` shims
 //! route every lock acquisition, condvar wait/notify, channel op, and
 //! instrumented atomic access through a cooperative scheduler that runs
-//! exactly one thread at a time and parks the rest. `explore` drives
+//! exactly one thread at a time and parks the rest. The model threads are
+//! exactly the ones a model names: a sharded read visits its shards on
+//! the caller's thread, so a reader is one model thread. `explore` drives
 //! that scheduler through a bounded depth-first enumeration of thread
 //! interleavings (with preemption bounding and sleep-set pruning), and
 //! `lin` checks the operation histories each schedule records against
@@ -14,8 +16,8 @@
 //! operations) of three real protocols:
 //!
 //! * group-commit leader handoff + sequence rebase (DESIGN.md §14),
-//! * scatter-gather reads racing a group commit on the shared
-//!   sequence clock (§15),
+//! * scatter-gather reads — one reader thread visiting the shards in
+//!   order — racing a group commit on the shared sequence clock (§15),
 //! * `SHUTDOWN` drain vs. an in-flight `BATCH` (§16).
 //!
 //! Every violation prints a replayable schedule seed; feeding the seed

@@ -1,15 +1,19 @@
 //! Model (b): scatter-gather reads racing writes on the shared
 //! sequence clock (DESIGN.md §15).
 //!
-//! Three bounded scenarios over a real [`SecondaryDb`]:
+//! Three bounded scenarios over a real [`SecondaryDb`]. A sharded read
+//! visits the shards in order on its caller's thread, so the reader is
+//! one model thread whose per-shard reads interleave with the writers at
+//! the same lock and atomic points.
 //!
 //! * [`scan_vs_put`] — a two-shard store; one writer puts two keys on
 //!   *different* shards back-to-back while a reader runs a
 //!   scatter-gather `scan_primary`. The oracle demands linearizability:
 //!   the scan must not return the second put's key without the first —
-//!   exactly the cross-shard read-skew the per-shard snapshot pinning
-//!   (pinned `SharedSequence::current()` fanned out to every shard's
-//!   cursor) exists to prevent.
+//!   exactly the cross-shard read skew the pinned cut
+//!   (`SharedSequence::current()`, taken before the first shard is read
+//!   and handed to every shard's cursor) exists to prevent. With the
+//!   seeded `UnpinnedScan` fault the explorer finds that skew.
 //! * [`eager_range`] — a single shard with an Eager index whose
 //!   prepopulated posting lists contain a stale high-sequence entry; a
 //!   reader's `range_lookup(K=2)` races an unrelated writer. With the
@@ -113,13 +117,16 @@ impl Spec for ScanSpec {
 
 /// Two shards, one writer putting a key on each shard in order, one
 /// scatter-gather scanner. Clean iff cross-shard scans are snapshot
-/// consistent.
-pub fn scan_vs_put() -> Instance {
+/// consistent. `unpinned_scan` seeds [`Fault::UnpinnedScan`]: each shard's
+/// cursor cuts at that shard's own latest sequence.
+pub fn scan_vs_put(unpinned_scan: bool) -> Instance {
     super::reset_faults();
+    model_bugs::set(Fault::UnpinnedScan, unpinned_scan);
     let db = open(2, &[]);
-    // Two keys that hash-route to different shards, named so the
-    // shard-0 key sorts first (the read-skew witness needs the scan to
-    // visit the first-written key's shard before the second's).
+    // Two keys that hash-route to different shards. The reader visits
+    // shard 0 first, so the read-skew witness writes shard 0's key first:
+    // a scan that read shard 0 before both puts and shard 1 after them
+    // returns the second key without the first.
     let mut on0 = None;
     let mut on1 = None;
     for i in 0..64 {

@@ -64,6 +64,17 @@ fn corpus_eager_k_prefix_truncation() {
 }
 
 #[test]
+fn corpus_unpinned_scan_read_skew() {
+    let _g = ldbpp_model::exclusive();
+    assert_replays(
+        "v1:0.0.0.0.0.0.0.0.0.0.0.0.1.1.1.1.1.1.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0:cef6c32d",
+        scatter::scan_vs_put(true),
+        "unpinned-scan",
+        "not linearizable",
+    );
+}
+
+#[test]
 fn corpus_index_tree_before_wal() {
     let _g = ldbpp_model::exclusive();
     let cfg = group_commit::Config {

@@ -137,11 +137,24 @@ fn two_tree_commit_catches_index_before_wal() {
 #[test]
 fn scan_vs_put_sweep_is_clean() {
     let _g = ldbpp_model::exclusive();
-    let outcome = Explorer::bounded().explore(&mut scatter::scan_vs_put);
+    let outcome = Explorer::bounded().explore(&mut || scatter::scan_vs_put(false));
     assert_clean(&outcome, "scan-vs-put");
     println!(
         "scan-vs-put: {} schedules, exhausted: {}",
         outcome.stats.schedules, outcome.stats.exhausted
+    );
+}
+
+#[test]
+fn scan_vs_put_catches_unpinned_scan() {
+    let _g = ldbpp_model::exclusive();
+    // Each shard's cursor cut at its own latest sequence: a scan that
+    // read shard 0 before both puts and shard 1 after them returns the
+    // second key without the first.
+    assert_caught(
+        || scatter::scan_vs_put(true),
+        "unpinned-scan",
+        "not linearizable",
     );
 }
 

@@ -1,16 +1,16 @@
 //! Offline stand-in for the `crossbeam` crate.
 //!
 //! Provides the subset the workspace uses: `crossbeam::channel`
-//! (unbounded MPSC channels, here built on `std::sync::mpsc`) and
-//! `crossbeam::thread::scope` (built on `std::thread::scope`).
+//! (unbounded MPSC channels, here built on `std::sync::mpsc`). Scoped
+//! threads are `std::thread::scope`; nothing here wraps them.
 //!
-//! With the `check` feature, channels and scoped threads double as
-//! scheduling points of the deterministic model checker (DESIGN.md
-//! §17): sends/receives park at a coordinator decision, scoped spawns
-//! register the child as a model thread, and joins park until the child
-//! finished so the real join never blocks. Threads outside a model run
-//! fall through to the plain std behaviour; the default build compiles
-//! none of the instrumentation.
+//! With the `check` feature, channels double as scheduling points of the
+//! deterministic model checker (DESIGN.md §17): sends and receives park
+//! at a coordinator decision, and a receive is enabled only when a
+//! message is queued or every sender is gone, so a model thread never
+//! blocks in a real `recv`. Threads outside a model run fall through to
+//! the plain std behaviour; the default build compiles none of the
+//! instrumentation.
 
 /// Multi-producer channels (subset of `crossbeam::channel`).
 pub mod channel {
@@ -139,84 +139,6 @@ pub mod channel {
     }
 }
 
-/// Scoped threads (subset of `crossbeam::thread`).
-pub mod thread {
-    /// Handle for spawning threads inside a [`scope`] call.
-    ///
-    /// Wraps `std::thread::Scope`; spawn closures receive `&Scope` for
-    /// crossbeam signature compatibility (they may ignore it).
-    pub struct Scope<'scope, 'env: 'scope> {
-        inner: &'scope std::thread::Scope<'scope, 'env>,
-    }
-
-    /// Join handle for a thread spawned inside a scope.
-    pub struct ScopedJoinHandle<'scope, T> {
-        inner: std::thread::ScopedJoinHandle<'scope, T>,
-        #[cfg(feature = "check")]
-        model_idx: Option<usize>,
-    }
-
-    impl<T> ScopedJoinHandle<'_, T> {
-        /// Wait for the thread to finish; `Err` carries its panic
-        /// payload, as with `std::thread`.
-        pub fn join(self) -> std::thread::Result<T> {
-            // Under a model run, park at a Join scheduling point until
-            // the child has logically finished, so the real join below
-            // returns without blocking.
-            #[cfg(feature = "check")]
-            if let Some(idx) = self.model_idx {
-                parking_lot::sched::join_child(idx);
-            }
-            self.inner.join()
-        }
-    }
-
-    impl<'scope, 'env> Scope<'scope, 'env> {
-        /// Spawn a scoped thread. The closure receives a `&Scope` so it
-        /// can spawn further threads, matching crossbeam's API.
-        ///
-        /// When the spawning thread belongs to a model run, the child
-        /// is registered as a model thread *before* the OS thread
-        /// starts, so the coordinator controls its every step.
-        pub fn spawn<F, T>(&self, f: F) -> ScopedJoinHandle<'scope, T>
-        where
-            F: for<'a> FnOnce(&'a Scope<'scope, 'env>) -> T + Send + 'scope,
-            T: Send + 'scope,
-        {
-            let inner = self.inner;
-            #[cfg(feature = "check")]
-            let reg = parking_lot::sched::register_child("scoped");
-            #[cfg(feature = "check")]
-            let model_idx = reg.as_ref().map(parking_lot::sched::ChildReg::index);
-            let handle = inner.spawn(move || {
-                let body = move || f(&Scope { inner });
-                #[cfg(feature = "check")]
-                match reg {
-                    Some(r) => parking_lot::sched::run_child(r, body),
-                    None => body(),
-                }
-                #[cfg(not(feature = "check"))]
-                body()
-            });
-            ScopedJoinHandle {
-                inner: handle,
-                #[cfg(feature = "check")]
-                model_idx,
-            }
-        }
-    }
-
-    /// Run `f` with a scope handle; all threads spawned through it are
-    /// joined before `scope` returns. Always returns `Ok` (a panicking
-    /// child propagates its panic on join, as with `std::thread::scope`).
-    pub fn scope<'env, F, R>(f: F) -> std::thread::Result<R>
-    where
-        F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R,
-    {
-        Ok(std::thread::scope(|s| f(&Scope { inner: s })))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     #[test]
@@ -239,17 +161,5 @@ mod tests {
         drop(tx2);
         assert_eq!(rx.recv().unwrap(), 1);
         assert!(rx.recv().is_err());
-    }
-
-    #[test]
-    fn scoped_threads_join_and_borrow() {
-        let data = [1u64, 2, 3];
-        let sum = super::thread::scope(|s| {
-            let h1 = s.spawn(|_| data.iter().sum::<u64>());
-            let h2 = s.spawn(move |_| 10u64);
-            h1.join().unwrap() + h2.join().unwrap()
-        })
-        .unwrap();
-        assert_eq!(sum, 16);
     }
 }

@@ -3,10 +3,10 @@
 //! under concurrent readers + a writer (the engine serializes internally —
 //! these tests pin down absence of deadlocks, panics and torn reads).
 
-use crossbeam::thread;
 use leveldbpp::{DbOptions, Document, IndexKind, SecondaryDb, Value};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::thread;
 
 fn opts() -> DbOptions {
     DbOptions {
@@ -32,7 +32,7 @@ fn concurrent_readers_during_writes() {
             let db = Arc::clone(&db);
             let stop = stop.clone();
             let written = written.clone();
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for i in 0..4000usize {
                     let mut doc = Document::new();
                     doc.set("UserID", Value::str(format!("u{}", i % 10)))
@@ -48,7 +48,7 @@ fn concurrent_readers_during_writes() {
             let db = Arc::clone(&db);
             let stop = stop.clone();
             let written = written.clone();
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut checked = 0usize;
                 while !stop.load(Ordering::Acquire) || checked < 100 {
                     let upto = written.load(Ordering::Acquire);
@@ -69,7 +69,7 @@ fn concurrent_readers_during_writes() {
         {
             let db = Arc::clone(&db);
             let stop = stop.clone();
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut rounds = 0;
                 while !stop.load(Ordering::Acquire) && rounds < 500 {
                     let hits = db.lookup("UserID", &Value::str("u3"), Some(5)).unwrap();
@@ -83,8 +83,7 @@ fn concurrent_readers_during_writes() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
 
     // Post-conditions: everything written is indexed.
     let total: usize = (0..10)
@@ -119,7 +118,7 @@ fn background_pipeline_writer_readers_stress() {
             let db = Arc::clone(&db);
             let stop = stop.clone();
             let written = written.clone();
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut last_seq = 0u64;
                 for i in 0..N {
                     let key = format!("k{i:06}");
@@ -139,7 +138,7 @@ fn background_pipeline_writer_readers_stress() {
             let db = Arc::clone(&db);
             let stop = stop.clone();
             let written = written.clone();
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut checked = 0usize;
                 let mut seen_seq = 0u64;
                 while !stop.load(Ordering::Acquire) || checked < 200 {
@@ -166,8 +165,7 @@ fn background_pipeline_writer_readers_stress() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
 
     // Settle the tree and re-verify everything.
     db.wait_for_background_idle().unwrap();
@@ -212,7 +210,7 @@ fn background_secondary_db_indexes_stay_coherent() {
         {
             let db = Arc::clone(&db);
             let stop = stop.clone();
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for i in 0..N {
                     let mut doc = Document::new();
                     doc.set("UserID", Value::str(format!("u{}", i % 10)))
@@ -227,7 +225,7 @@ fn background_secondary_db_indexes_stay_coherent() {
         for _ in 0..2 {
             let db = Arc::clone(&db);
             let stop = stop.clone();
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut rounds = 0;
                 while !stop.load(Ordering::Acquire) && rounds < 400 {
                     let hits = db.lookup("UserID", &Value::str("u4"), Some(5)).unwrap();
@@ -247,8 +245,7 @@ fn background_secondary_db_indexes_stay_coherent() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
 
     // After the worker settles, the index must account for every record.
     db.wait_for_background_idle().unwrap();
@@ -284,7 +281,7 @@ fn contended_writers_group_commit_correctness() {
     thread::scope(|s| {
         for t in 0..THREADS {
             let db = Arc::clone(&db);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut last_seq = 0u64;
                 for i in 0..M {
                     let key = format!("w{t}-{i:05}");
@@ -298,8 +295,7 @@ fn contended_writers_group_commit_correctness() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
 
     db.wait_for_background_idle().unwrap();
     for t in 0..THREADS {
@@ -352,7 +348,7 @@ fn contended_secondary_writers_stay_indexed() {
     thread::scope(|s| {
         for t in 0..THREADS {
             let db = Arc::clone(&db);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for i in 0..M {
                     let mut doc = Document::new();
                     doc.set("UserID", Value::str(format!("u{}", (t * M + i) % 10)))
@@ -361,8 +357,7 @@ fn contended_secondary_writers_stay_indexed() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
 
     db.wait_for_background_idle().unwrap();
     for t in 0..THREADS {
@@ -403,7 +398,7 @@ fn eager_concurrent_same_value_keeps_every_posting() {
         let writers: Vec<_> = (0..THREADS)
             .map(|t| {
                 let (db, start) = (Arc::clone(&db), &start);
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let mut doc = Document::new();
                     doc.set("UserID", Value::str("everyone"));
                     start.wait();
@@ -418,8 +413,7 @@ fn eager_concurrent_same_value_keeps_every_posting() {
             })
             .collect();
         writers.into_iter().map(|w| w.join().unwrap()).collect()
-    })
-    .unwrap();
+    });
 
     let hits = db.lookup("UserID", &Value::str("everyone"), None).unwrap();
     assert_eq!(hits.len(), THREADS * M, "postings lost under contention");
@@ -457,7 +451,7 @@ fn parallel_lookups_on_static_data_agree() {
         for _ in 0..4 {
             let db = Arc::clone(&db);
             let baseline = baseline.clone();
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for round in 0..50 {
                     let u = round % 7;
                     let hits = db
@@ -467,6 +461,5 @@ fn parallel_lookups_on_static_data_agree() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
 }

@@ -52,13 +52,7 @@ fn build_all(scale: Scale, include_eager: bool, include_noindex: bool) -> Vec<Va
 }
 
 fn total_io(db: &SecondaryDb) -> IoSnapshot {
-    let p = db.primary_io();
-    let i = db.index_io();
-    IoSnapshot {
-        block_reads: p.block_reads + i.block_reads,
-        bloom_checks: p.bloom_checks + i.bloom_checks,
-        ..p
-    }
+    db.primary_io() + db.index_io()
 }
 
 fn push_measurement(

@@ -11,10 +11,13 @@
 //!   The paper stores record values and posting lists as JSON; we implement
 //!   JSON in-house because `serde_json` is outside the approved dependency
 //!   set.
+//! * [`mod@counters`] — the [`counters!`] macro: each counter set declared
+//!   once, its snapshot, delta, sum and JSON form derived from that list.
 
 #![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod coding;
+pub mod counters;
 pub mod crc32c;
 pub mod error;
 pub mod json;

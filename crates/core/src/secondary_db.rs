@@ -44,7 +44,6 @@ use ldbpp_lsm::db::{CommitView, Db, DbOptions, DeriveOps, SharedSequence};
 use ldbpp_lsm::env::{Env, IoSnapshot, MemEnv};
 use ldbpp_lsm::ikey::ValueType;
 use ldbpp_lsm::model_bugs::{self, Fault};
-use ldbpp_lsm::sync::{AtomicU64, Ordering};
 use ldbpp_lsm::write_batch::{BatchOp, WriteBatch};
 use std::sync::Arc;
 
@@ -88,14 +87,16 @@ impl<T> Partial<T> {
 /// order.
 pub type ScanRows = Vec<(Vec<u8>, Document)>;
 
-/// Degraded-read counters (surfaced through the server's STATS).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct DegradedStats {
+ldbpp_common::counters! {
+    /// Degraded-read counters (surfaced through the server's STATS).
+    pub struct DegradedCounters;
+    /// A copy of [`DegradedCounters`].
+    pub struct DegradedStats;
     /// Degraded-mode reads that returned with at least one shard missing.
-    pub degraded_reads: u64,
+    degraded_reads,
     /// Individual shard failures skipped by degraded reads (≥
     /// `degraded_reads`; one read can lose several shards).
-    pub failed_shard_reads: u64,
+    failed_shard_reads,
 }
 
 /// Configuration for a [`SecondaryDb`].
@@ -691,10 +692,9 @@ pub struct SecondaryDb {
     /// The sequence clock every shard's commits draw from, which keeps
     /// top-K recency ordering globally meaningful.
     clock: Arc<SharedSequence>,
-    /// Degraded reads that returned partial results.
-    degraded_reads: AtomicU64,
-    /// Shard failures skipped by degraded reads.
-    failed_shard_reads: AtomicU64,
+    /// Degraded reads that returned partial results, and the shard
+    /// failures they skipped.
+    degraded: DegradedCounters,
 }
 
 impl SecondaryDb {
@@ -752,8 +752,7 @@ impl SecondaryDb {
         Ok(SecondaryDb {
             shards,
             clock,
-            degraded_reads: AtomicU64::new(0),
-            failed_shard_reads: AtomicU64::new(0),
+            degraded: DegradedCounters::default(),
         })
     }
 
@@ -863,9 +862,9 @@ impl SecondaryDb {
             }
         }
         if !failed_shards.is_empty() {
-            self.degraded_reads.fetch_add(1, Ordering::Relaxed);
-            self.failed_shard_reads
-                .fetch_add(failed_shards.len() as u64, Ordering::Relaxed);
+            DegradedCounters::add(&self.degraded.degraded_reads, 1);
+            let failed = failed_shards.len() as u64;
+            DegradedCounters::add(&self.degraded.failed_shard_reads, failed);
         }
         Ok(Partial {
             value,
@@ -1214,9 +1213,6 @@ impl SecondaryDb {
 
     /// Degraded-read counters since open.
     pub fn degraded_stats(&self) -> DegradedStats {
-        DegradedStats {
-            degraded_reads: self.degraded_reads.load(Ordering::Relaxed),
-            failed_shard_reads: self.failed_shard_reads.load(Ordering::Relaxed),
-        }
+        self.degraded.snapshot()
     }
 }

@@ -85,173 +85,108 @@ pub enum IoCategory {
     WalWrite,
 }
 
-/// Declares every scalar I/O counter once and generates from that one list
-/// [`IoStats`], [`IoSnapshot`], [`IoStats::snapshot`],
-/// [`IoSnapshot::since`], the [`std::ops::Add`] impl and
-/// [`IoSnapshot::counters`], so a new counter joins all of them or none.
-/// Each entry is the [`IoStats`] field's doc, its name, and the
-/// [`IoSnapshot`] field's doc. `group_size_hist` is an array and is
-/// written out beside the generated fields.
-macro_rules! io_counters {
-    ($($(#[doc = $stats_doc:literal])* $name:ident => $snap_doc:literal,)*) => {
-        /// Cumulative I/O and filter-probe counters for one table (one `Db`).
-        ///
-        /// All counters are monotonically increasing; [`IoStats::snapshot`] captures
-        /// a point-in-time copy so experiments can difference two snapshots around a
-        /// phase.
-        #[derive(Debug, Default)]
-        pub struct IoStats {
-            $($(#[doc = $stats_doc])* pub $name: AtomicU64,)*
-            /// Histogram of group sizes, in logical batches per group commit.
-            /// Buckets count groups of size 1, 2, 3–4, 5–8, 9–16 and ≥ 17
-            /// respectively (see [`IoStats::group_size_bucket`]); the bucket for
-            /// a group's size is incremented once per group commit.
-            pub group_size_hist: [AtomicU64; 6],
-        }
-
-        /// A point-in-time copy of [`IoStats`]; each field freezes the counter of
-        /// the same name.
-        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-        pub struct IoSnapshot {
-            $(#[doc = $snap_doc] pub $name: u64,)*
-            /// Histogram of group sizes (buckets: 1, 2, 3–4, 5–8, 9–16, ≥ 17).
-            pub group_size_hist: [u64; 6],
-        }
-
-        impl IoStats {
-            /// Capture the current counter values.
-            pub fn snapshot(&self) -> IoSnapshot {
-                IoSnapshot {
-                    $($name: self.$name.load(Ordering::Relaxed),)*
-                    group_size_hist: std::array::from_fn(|i| {
-                        self.group_size_hist[i].load(Ordering::Relaxed)
-                    }),
-                }
-            }
-        }
-
-        impl IoSnapshot {
-            /// Counter-wise difference (`self - earlier`).
-            pub fn since(&self, earlier: &IoSnapshot) -> IoSnapshot {
-                IoSnapshot {
-                    $($name: self.$name - earlier.$name,)*
-                    group_size_hist: std::array::from_fn(|i| {
-                        self.group_size_hist[i] - earlier.group_size_hist[i]
-                    }),
-                }
-            }
-
-            /// Every scalar counter as `(field name, value)`, in declaration
-            /// order (`group_size_hist` is not included).
-            pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> {
-                [$((stringify!($name), self.$name)),*].into_iter()
-            }
-        }
-
-        impl std::ops::Add for IoSnapshot {
-            type Output = IoSnapshot;
-
-            /// Counter-wise sum.
-            fn add(self, b: IoSnapshot) -> IoSnapshot {
-                IoSnapshot {
-                    $($name: self.$name + b.$name,)*
-                    group_size_hist: std::array::from_fn(|i| {
-                        self.group_size_hist[i] + b.group_size_hist[i]
-                    }),
-                }
-            }
-        }
-    };
-}
-
-io_counters! {
+ldbpp_common::counters! {
+    /// Cumulative I/O and filter-probe counters for one table (one `Db`).
+    ///
+    /// All counters are monotonically increasing; [`IoStats::snapshot`] captures
+    /// a point-in-time copy so experiments can difference two snapshots around a
+    /// phase.
+    pub struct IoStats;
+    /// A point-in-time copy of [`IoStats`]; each field freezes the counter of
+    /// the same name.
+    pub struct IoSnapshot;
     /// Count of data blocks fetched from storage for queries; incremented
     /// once per block read that missed (or bypassed) the block cache.
-    block_reads => "Data blocks fetched from storage for queries (excludes cache hits).",
+    block_reads,
     /// Bytes (compressed, on-storage size) fetched by those query block
     /// reads; incremented together with `block_reads`.
-    block_read_bytes => "Bytes fetched for those block reads.",
+    block_read_bytes,
     /// Count of query block requests served by the block cache;
     /// incremented once per cache hit (no storage read happened).
-    cache_hits => "Query block requests served by the block cache.",
+    cache_hits,
     /// Count of SSTable footer/index loads caused by table-cache misses;
     /// incremented once per table opened. The lazy read path promises
     /// zero of these before an iterator's first seek.
-    table_opens => "SSTable footer/index loads caused by table-cache misses.",
+    table_opens,
     /// Count of blocks read by compactions; incremented once per input
     /// block as compaction input iterators advance.
-    compaction_blocks_read => "Blocks read by compactions.",
+    compaction_blocks_read,
     /// Bytes (on-storage size) read by compactions; incremented together
     /// with `compaction_blocks_read`.
-    compaction_bytes_read => "Bytes read by compactions.",
+    compaction_bytes_read,
     /// Count of blocks written by compactions; incremented once per
     /// output block flushed by a compaction's table builder.
-    compaction_blocks_written => "Blocks written by compactions.",
+    compaction_blocks_written,
     /// Bytes (on-storage size) written by compactions; incremented
     /// together with `compaction_blocks_written`.
-    compaction_bytes_written => "Bytes written by compactions.",
+    compaction_bytes_written,
     /// Count of blocks written by memtable flushes; incremented once per
     /// output block while building an L0 table.
-    flush_blocks_written => "Blocks written by memtable flushes.",
+    flush_blocks_written,
     /// Bytes (on-storage size) written by memtable flushes; incremented
     /// together with `flush_blocks_written`.
-    flush_bytes_written => "Bytes written by memtable flushes.",
+    flush_bytes_written,
     /// Bytes of batch payload appended to the write-ahead log (excludes
     /// the log format's per-record framing); incremented once per
     /// successful group-commit WAL append.
-    wal_bytes_written => "Bytes appended to the write-ahead log.",
+    wal_bytes_written,
     /// Count of bloom-filter membership probes; incremented once per
     /// filter consulted (CPU cost tracker — the paper notes this cost
     /// "cannot be neglected" for the Embedded Index).
-    bloom_checks => "Bloom-filter membership probes.",
+    bloom_checks,
     /// Count of probes answered "definitely absent"; incremented when a
     /// bloom probe lets a read skip a block or file entirely.
-    bloom_negatives => "Probes answered \"definitely absent\".",
+    bloom_negatives,
     /// Count of blocks skipped thanks to per-block zone maps; incremented
     /// once per block a range predicate pruned without reading it.
-    zonemap_prunes => "Blocks skipped thanks to zone maps.",
+    zonemap_prunes,
     /// Count of whole files skipped thanks to file-level zone maps;
     /// incremented once per file pruned before any block I/O.
-    file_zonemap_prunes => "Whole files skipped thanks to file-level zone maps.",
+    file_zonemap_prunes,
     /// Count of compactions run; incremented once per completed
     /// compaction (foreground or background).
-    compactions => "Number of compactions run.",
+    compactions,
     /// Count of memtable flushes; incremented once per L0 table installed
     /// from a (frozen or live) memtable.
-    flushes => "Number of memtable flushes.",
+    flushes,
     /// Count of faults injected by a [`FaultEnv`] mirroring into these
     /// stats; incremented once per injected failure (see
     /// [`FaultEnv::mirror_stats`]).
-    injected_faults => "Faults injected by a [`FaultEnv`] mirroring into these stats.",
+    injected_faults,
     /// Count of WAL records replayed into the memtable while opening the
     /// database; incremented once per batch record during recovery.
-    wal_replays => "WAL records replayed into the memtable while opening the database.",
+    wal_replays,
     /// Count of MANIFEST version edits applied while recovering the
     /// version state; incremented once per edit during open.
-    manifest_replays => "MANIFEST version edits applied while recovering the version state.",
+    manifest_replays,
     /// Count of corruption events the salvaging WAL reader resynchronized
     /// past during recovery; incremented once per resync (permissive mode
     /// only; see `DbOptions::paranoid_checks`).
-    wal_records_salvaged => "Corruption events the salvaging WAL reader resynchronized past.",
+    wal_records_salvaged,
     /// Bytes of WAL content dropped while resynchronizing past
     /// corruption; incremented by the skipped span per salvage event.
-    wal_bytes_dropped => "WAL bytes dropped while resynchronizing past corruption.",
+    wal_bytes_dropped,
     /// Count of corrupt table blocks treated as absent by permissive
     /// reads instead of failing the query (the "absent-with-diagnostic"
     /// counter); incremented once per corrupt block skipped.
-    corrupt_blocks_skipped => "Corrupt table blocks treated as absent by permissive reads.",
+    corrupt_blocks_skipped,
     /// Count of group commits: each is one leader round that appended one
     /// WAL record covering ≥ 1 logical batch; incremented once per round.
     /// `grouped_writes / group_commits` is the mean group size.
-    group_commits => "Group commits (leader rounds, one WAL record each).",
+    group_commits,
     /// Count of logical batches committed through the group-commit queue
     /// (every `Db::put` / `delete` / `merge` / `write` is one logical
     /// batch); incremented by the group size once per group commit.
-    grouped_writes => "Logical batches committed through the group-commit queue.",
+    grouped_writes,
     /// Count of WAL fsyncs issued by the write path; incremented once per
     /// group commit when `DbOptions::wal_sync` is on (zero otherwise —
     /// flush/compaction table syncs are not counted here).
-    wal_syncs => "WAL fsyncs issued by the write path.",
+    wal_syncs,
+    /// Histogram of group sizes, in logical batches per group commit.
+    /// Buckets count groups of size 1, 2, 3–4, 5–8, 9–16 and ≥ 17
+    /// respectively (see [`IoStats::group_size_bucket`]); the bucket for
+    /// a group's size is incremented once per group commit.
+    group_size_hist[6],
 }
 
 impl IoSnapshot {
@@ -266,31 +201,12 @@ impl IoSnapshot {
     pub fn bytes_written(&self) -> u64 {
         self.flush_bytes_written + self.compaction_bytes_written + self.wal_bytes_written
     }
-
-    /// Counter-wise sum of any number of snapshots — the aggregation
-    /// helper for everything that reports across several tables at once:
-    /// a [`crate::db::Db`] per engine shard, or one per stand-alone index.
-    /// An empty iterator yields the zero snapshot, so callers need no
-    /// special case for "no shards / no indexes".
-    pub fn merge<I>(snapshots: I) -> IoSnapshot
-    where
-        I: IntoIterator<Item = IoSnapshot>,
-    {
-        snapshots
-            .into_iter()
-            .fold(IoSnapshot::default(), |acc, s| acc + s)
-    }
 }
 
 impl IoStats {
     /// New zeroed counters.
     pub fn new() -> Arc<IoStats> {
         Arc::new(IoStats::default())
-    }
-
-    /// Bump a counter by `n` (relaxed; counters are advisory).
-    pub fn add(counter: &AtomicU64, n: u64) {
-        counter.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Index into [`IoStats::group_size_hist`] for a group of `n` logical

@@ -61,8 +61,6 @@ struct Session {
 struct Inner {
     sessions: HashMap<u64, Session>,
     tick: u64,
-    hits: u64,
-    evicted_sessions: u64,
 }
 
 /// The dedup table. One per server; shared by all connection threads.
@@ -73,17 +71,19 @@ pub struct DedupMap {
     /// Signalled when an in-flight write completes, waking duplicate
     /// attempts parked in [`DedupMap::execute`].
     done: Condvar,
+    /// Retries answered from the window, and sessions evicted.
+    stats: DedupCounters,
 }
 
-/// Counters for STATS reporting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct DedupSnapshot {
+ldbpp_common::counters! {
+    /// The dedup window's counters, reported under STATS `server.dedup`.
+    pub struct DedupCounters;
+    /// A copy of [`DedupCounters`].
+    pub struct DedupStats;
     /// Retries answered from the window (writes *not* re-applied).
-    pub hits: u64,
-    /// Sessions currently tracked.
-    pub sessions: u64,
+    hits,
     /// Sessions dropped by LRU eviction.
-    pub evicted_sessions: u64,
+    evicted_sessions,
 }
 
 impl DedupMap {
@@ -93,6 +93,7 @@ impl DedupMap {
             cfg,
             inner: Mutex::new(Inner::default()),
             done: Condvar::new(),
+            stats: DedupCounters::default(),
         }
     }
 
@@ -115,7 +116,7 @@ impl DedupMap {
             entry.touched = tick;
             if let Some(resp) = entry.completed.get(&id) {
                 let resp = resp.clone();
-                inner.hits += 1;
+                DedupCounters::add(&self.stats.hits, 1);
                 return resp;
             }
             if entry.in_flight.contains(&id) {
@@ -148,13 +149,13 @@ impl DedupMap {
     }
 
     /// Current counters.
-    pub fn snapshot(&self) -> DedupSnapshot {
-        let inner = self.inner.lock();
-        DedupSnapshot {
-            hits: inner.hits,
-            sessions: inner.sessions.len() as u64,
-            evicted_sessions: inner.evicted_sessions,
-        }
+    pub fn stats(&self) -> DedupStats {
+        self.stats.snapshot()
+    }
+
+    /// Sessions currently tracked (a gauge, not a counter).
+    pub fn sessions(&self) -> u64 {
+        self.inner.lock().sessions.len() as u64
     }
 
     /// Drop least-recently-used sessions above the bound. Sessions with
@@ -171,7 +172,7 @@ impl DedupMap {
             match victim {
                 Some(k) => {
                     inner.sessions.remove(&k);
-                    inner.evicted_sessions += 1;
+                    DedupCounters::add(&self.stats.evicted_sessions, 1);
                 }
                 None => break, // everything is mid-write; try next time
             }
@@ -204,7 +205,7 @@ mod tests {
         assert_eq!(r1, seq(41));
         assert_eq!(r2, seq(41), "retry must see the first attempt's ack");
         assert_eq!(runs.load(Ordering::SeqCst), 1, "work ran exactly once");
-        assert_eq!(map.snapshot().hits, 1);
+        assert_eq!(map.stats().hits, 1);
     }
 
     #[test]
@@ -213,8 +214,8 @@ mod tests {
         assert_eq!(map.execute(1, 1, || seq(10)), seq(10));
         assert_eq!(map.execute(1, 2, || seq(11)), seq(11));
         assert_eq!(map.execute(2, 1, || seq(12)), seq(12));
-        assert_eq!(map.snapshot().hits, 0);
-        assert_eq!(map.snapshot().sessions, 2);
+        assert_eq!(map.stats().hits, 0);
+        assert_eq!(map.sessions(), 2);
     }
 
     #[test]
@@ -246,9 +247,8 @@ mod tests {
         map.execute(1, 1, || seq(1));
         map.execute(2, 1, || seq(2));
         map.execute(3, 1, || seq(3)); // evicts session 1
-        let snap = map.snapshot();
-        assert_eq!(snap.sessions, 2);
-        assert_eq!(snap.evicted_sessions, 1);
+        assert_eq!(map.sessions(), 2);
+        assert_eq!(map.stats().evicted_sessions, 1);
         // Session 1's window is gone: its retry re-runs (at-least-once
         // beyond the bound, by design).
         let runs = AtomicU64::new(0);

@@ -28,7 +28,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use ldbpp_common::{Error, Result};
-use ldbpp_lsm::sync::{AtomicBool, AtomicU64, Ordering};
+use ldbpp_lsm::sync::{AtomicBool, Ordering};
 
 use crate::wire::{MAX_FRAME_LEN, MIN_FRAME_LEN};
 
@@ -69,63 +69,30 @@ impl XorShift {
 
 // -- stats ------------------------------------------------------------------
 
-/// Counters of injected faults, shared by the injector and the test
-/// asserting on it (the network mirror of `FaultEnv`'s stats).
-#[derive(Debug, Default)]
-pub struct NetFaultStats {
-    conns: AtomicU64,
-    frames_forwarded: AtomicU64,
-    frames_dropped: AtomicU64,
-    frames_delayed: AtomicU64,
-    frames_garbled: AtomicU64,
-    frames_truncated: AtomicU64,
-    frames_split: AtomicU64,
-    severs: AtomicU64,
-    byte_faults: AtomicU64,
-}
-
-/// Plain-integer snapshot of [`NetFaultStats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct NetFaultSnapshot {
+ldbpp_common::counters! {
+    /// Counters of injected faults, shared by the injector and the test
+    /// asserting on it (the network mirror of `FaultEnv`'s stats).
+    pub struct NetFaultStats;
+    /// Plain-integer snapshot of [`NetFaultStats`].
+    pub struct NetFaultSnapshot;
     /// Connections the proxy accepted.
-    pub conns: u64,
+    conns,
     /// Frames forwarded unmodified (including delayed/split ones).
-    pub frames_forwarded: u64,
+    frames_forwarded,
     /// Frames silently swallowed.
-    pub frames_dropped: u64,
+    frames_dropped,
     /// Frames forwarded after an injected delay.
-    pub frames_delayed: u64,
+    frames_delayed,
     /// Frames forwarded with a flipped payload bit (CRC will fail).
-    pub frames_garbled: u64,
+    frames_garbled,
     /// Frames cut mid-body before the connection was severed.
-    pub frames_truncated: u64,
+    frames_truncated,
     /// Frames trickled out in single-digit-byte chunks.
-    pub frames_split: u64,
+    frames_split,
     /// Connections torn down by injection (not by the endpoints).
-    pub severs: u64,
+    severs,
     /// Byte-level faults injected by [`FaultStream`].
-    pub byte_faults: u64,
-}
-
-impl NetFaultStats {
-    /// Current counter values.
-    pub fn snapshot(&self) -> NetFaultSnapshot {
-        NetFaultSnapshot {
-            conns: self.conns.load(Ordering::SeqCst),
-            frames_forwarded: self.frames_forwarded.load(Ordering::SeqCst),
-            frames_dropped: self.frames_dropped.load(Ordering::SeqCst),
-            frames_delayed: self.frames_delayed.load(Ordering::SeqCst),
-            frames_garbled: self.frames_garbled.load(Ordering::SeqCst),
-            frames_truncated: self.frames_truncated.load(Ordering::SeqCst),
-            frames_split: self.frames_split.load(Ordering::SeqCst),
-            severs: self.severs.load(Ordering::SeqCst),
-            byte_faults: self.byte_faults.load(Ordering::SeqCst),
-        }
-    }
-
-    fn bump(&self, c: &AtomicU64) {
-        c.fetch_add(1, Ordering::SeqCst);
-    }
+    byte_faults,
 }
 
 impl NetFaultSnapshot {
@@ -379,7 +346,7 @@ fn accept_loop(
     while !stop.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((client, _)) => {
-                stats.bump(&stats.conns);
+                NetFaultStats::add(&stats.conns, 1);
                 match TcpStream::connect_timeout(&upstream, Duration::from_secs(5)) {
                     Ok(server) => {
                         let _ = client.set_nodelay(true);
@@ -514,21 +481,21 @@ fn pump(
         frame_idx += 1;
         let write_ok = match action {
             NetFault::Pass => {
-                stats.bump(&stats.frames_forwarded);
+                NetFaultStats::add(&stats.frames_forwarded, 1);
                 dst.write_all(&frame).is_ok()
             }
             NetFault::Drop => {
-                stats.bump(&stats.frames_dropped);
+                NetFaultStats::add(&stats.frames_dropped, 1);
                 true
             }
             NetFault::Delay => {
-                stats.bump(&stats.frames_delayed);
-                stats.bump(&stats.frames_forwarded);
+                NetFaultStats::add(&stats.frames_delayed, 1);
+                NetFaultStats::add(&stats.frames_forwarded, 1);
                 std::thread::sleep(faults.delay);
                 dst.write_all(&frame).is_ok()
             }
             NetFault::Garble => {
-                stats.bump(&stats.frames_garbled);
+                NetFaultStats::add(&stats.frames_garbled, 1);
                 // Flip one bit somewhere in the payload/CRC (never the
                 // length prefix, which would desync the framing rather
                 // than trip the CRC).
@@ -537,21 +504,21 @@ fn pump(
                 dst.write_all(&frame).is_ok()
             }
             NetFault::Truncate => {
-                stats.bump(&stats.frames_truncated);
-                stats.bump(&stats.severs);
+                NetFaultStats::add(&stats.frames_truncated, 1);
+                NetFaultStats::add(&stats.severs, 1);
                 let keep = 1 + rng.below((frame.len() - 1) as u64) as usize;
                 let _ = dst.write_all(&frame[..keep]);
                 pair.sever();
                 return;
             }
             NetFault::Sever => {
-                stats.bump(&stats.severs);
+                NetFaultStats::add(&stats.severs, 1);
                 pair.sever();
                 return;
             }
             NetFault::Split => {
-                stats.bump(&stats.frames_split);
-                stats.bump(&stats.frames_forwarded);
+                NetFaultStats::add(&stats.frames_split, 1);
+                NetFaultStats::add(&stats.frames_forwarded, 1);
                 let chunk = (frame.len() / 3).max(1);
                 let mut ok = true;
                 for piece in frame.chunks(chunk) {
@@ -625,7 +592,7 @@ impl<S: Read> Read for FaultStream<S> {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         if let Some(at) = self.plan.fail_read_at {
             if self.read_pos >= at {
-                self.stats.bump(&self.stats.byte_faults);
+                NetFaultStats::add(&self.stats.byte_faults, 1);
                 return Err(std::io::Error::new(
                     std::io::ErrorKind::ConnectionReset,
                     "injected read fault",
@@ -644,7 +611,7 @@ impl<S: Read> Read for FaultStream<S> {
         if let Some(at) = self.plan.garble_read_at {
             if self.read_pos <= at && at < self.read_pos + n as u64 {
                 buf[(at - self.read_pos) as usize] ^= 0x40;
-                self.stats.bump(&self.stats.byte_faults);
+                NetFaultStats::add(&self.stats.byte_faults, 1);
             }
         }
         self.read_pos += n as u64;
@@ -656,7 +623,7 @@ impl<S: Write> Write for FaultStream<S> {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
         if let Some(at) = self.plan.fail_write_at {
             if self.write_pos >= at {
-                self.stats.bump(&self.stats.byte_faults);
+                NetFaultStats::add(&self.stats.byte_faults, 1);
                 return Err(std::io::Error::new(
                     std::io::ErrorKind::ConnectionReset,
                     "injected write fault",

@@ -27,7 +27,7 @@ pub mod server;
 pub mod wire;
 
 pub use client::Client;
-pub use dedup::{DedupConfig, DedupMap, DedupSnapshot};
+pub use dedup::{DedupConfig, DedupMap, DedupStats};
 pub use fault::{
     ByteFaultPlan, ChaosProxy, DirectedFaults, FaultStream, NetFault, NetFaultPlan,
     NetFaultSnapshot, NetFaultStats, XorShift,

@@ -47,7 +47,7 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -57,7 +57,6 @@ use ldbpp_common::json::Value;
 use ldbpp_common::{Error, Result};
 use ldbpp_core::doc::Document;
 use ldbpp_core::secondary_db::{ReadMode, SecondaryDb};
-use ldbpp_lsm::env::IoSnapshot;
 
 use crate::dedup::{DedupConfig, DedupMap};
 use crate::drain::DrainGate;
@@ -111,20 +110,29 @@ struct Shared {
     /// The graceful-drain protocol state (see [`crate::drain`]): the
     /// drain flag, active-request count, and shutdown-waiter count.
     gate: Arc<DrainGate>,
-    /// Live connection threads.
+    /// Live connection threads (a gauge; the admission bound reads it).
     conns: AtomicUsize,
-    /// Connections ever accepted (including rejected-busy ones).
-    accepted: AtomicU64,
-    /// Connections rejected with `Busy`.
-    rejected: AtomicU64,
-    /// Requests served (any response sent, success or error).
-    requests: AtomicU64,
-    /// Requests answered with a `Protocol` error.
-    protocol_errors: AtomicU64,
-    /// Requests shed with `Busy` by the in-flight bound.
-    shed_busy: AtomicU64,
+    /// The counters of [`server_counters`].
+    stats: ServerCounters,
     /// The write-dedup table for retry sessions.
     dedup: DedupMap,
+}
+
+ldbpp_common::counters! {
+    /// The server's counters, reported under STATS `server`.
+    pub struct ServerCounters;
+    /// A copy of [`ServerCounters`].
+    pub struct ServerStats;
+    /// Connections ever accepted (including rejected-busy ones).
+    accepted,
+    /// Connections rejected with `Busy`.
+    rejected_busy,
+    /// Requests served (any response sent, success or error).
+    requests,
+    /// Requests answered with a `Protocol` error.
+    protocol_errors,
+    /// Requests shed with `Busy` by the in-flight bound.
+    shed_busy,
 }
 
 /// A running server. Dropping the handle does *not* stop the server;
@@ -180,11 +188,7 @@ impl Server {
             cfg,
             gate: Arc::new(DrainGate::new()),
             conns: AtomicUsize::new(0),
-            accepted: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            requests: AtomicU64::new(0),
-            protocol_errors: AtomicU64::new(0),
-            shed_busy: AtomicU64::new(0),
+            stats: ServerCounters::default(),
             dedup,
         });
         let accept_shared = Arc::clone(&shared);
@@ -204,9 +208,9 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     while !shared.gate.is_draining() {
         match listener.accept() {
             Ok((stream, _)) => {
-                shared.accepted.fetch_add(1, Ordering::Relaxed);
+                ServerCounters::add(&shared.stats.accepted, 1);
                 if shared.conns.load(Ordering::SeqCst) >= shared.cfg.max_conns {
-                    shared.rejected.fetch_add(1, Ordering::Relaxed);
+                    ServerCounters::add(&shared.stats.rejected_busy, 1);
                     reject_busy(stream, &shared);
                     continue;
                 }
@@ -362,8 +366,8 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
             ReadOutcome::BadCrc(msg) => {
                 // The payload is untrustworthy (its id included), so the
                 // error carries id 0; the connection stays usable.
-                shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                shared.requests.fetch_add(1, Ordering::Relaxed);
+                ServerCounters::add(&shared.stats.protocol_errors, 1);
+                ServerCounters::add(&shared.stats.requests, 1);
                 let frame = Response::protocol_error(msg).encode(0);
                 if stream.write_all(&frame).is_err() {
                     return;
@@ -371,7 +375,7 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
             }
             ReadOutcome::Fatal(msg) => {
                 // The stream cannot be re-synced; best-effort error, close.
-                shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
+                ServerCounters::add(&shared.stats.protocol_errors, 1);
                 let frame = Response::protocol_error(msg).encode(0);
                 let _ = stream.write_all(&frame);
                 return;
@@ -382,7 +386,7 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
                     Err(e) => {
                         // Body didn't decode but the frame boundary held:
                         // answer and keep the connection.
-                        shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
+                        ServerCounters::add(&shared.stats.protocol_errors, 1);
                         (
                             salvage_request_id(&payload),
                             Response::protocol_error(e.to_string()),
@@ -415,7 +419,7 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
                             // request is itself registered, so strictly
                             //-greater-than admits `max_inflight`
                             // executors.
-                            shared.shed_busy.fetch_add(1, Ordering::Relaxed);
+                            ServerCounters::add(&shared.stats.shed_busy, 1);
                             Response::Err {
                                 code: ErrorCode::Busy,
                                 message: format!(
@@ -436,7 +440,7 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
                         (id, resp, false)
                     }
                 };
-                shared.requests.fetch_add(1, Ordering::Relaxed);
+                ServerCounters::add(&shared.stats.requests, 1);
                 let frame = resp.encode(id);
                 let sent = stream.write_all(&frame);
                 shared.gate.finish_request();
@@ -575,38 +579,14 @@ fn to_wire_hits(hits: Vec<ldbpp_core::indexes::LookupHit>) -> Vec<Hit> {
         .collect()
 }
 
-fn io_to_value(io: &IoSnapshot) -> Value {
-    let hist = Value::Array(
-        io.group_size_hist
-            .iter()
-            .map(|&n| Value::Int(n as i64))
-            .collect(),
-    );
-    Value::object(
-        io.counters()
-            .map(|(name, n)| (name, Value::Int(n as i64)))
-            .chain([("group_size_hist", hist)]),
-    )
-}
-
 fn stats_json(db: &SecondaryDb, include_integrity: bool, server: Option<Value>) -> Result<String> {
-    let merged = IoSnapshot::merge([db.primary_io(), db.index_io()]);
-    let degraded = db.degraded_stats();
+    let (primary, index) = (db.primary_io(), db.index_io());
     let mut root = Value::object([
         ("shards", Value::Int(db.shard_count() as i64)),
-        ("primary_io", io_to_value(&db.primary_io())),
-        ("index_io", io_to_value(&db.index_io())),
-        ("merged_io", io_to_value(&merged)),
-        (
-            "degraded",
-            Value::object([
-                ("degraded_reads", Value::Int(degraded.degraded_reads as i64)),
-                (
-                    "failed_shard_reads",
-                    Value::Int(degraded.failed_shard_reads as i64),
-                ),
-            ]),
-        ),
+        ("primary_io", primary.to_value()),
+        ("index_io", index.to_value()),
+        ("merged_io", (primary + index).to_value()),
+        ("degraded", db.degraded_stats().to_value()),
     ]);
     if let Some(server) = server {
         root.insert("server", server);
@@ -629,43 +609,12 @@ fn stats_json(db: &SecondaryDb, include_integrity: bool, server: Option<Value>) 
 /// (kept separate from [`stats_json`] so the engine half is testable
 /// without a socket).
 fn server_counters(shared: &Shared) -> Value {
-    let dedup = shared.dedup.snapshot();
-    Value::object([
-        (
-            "connections",
-            Value::Int(shared.conns.load(Ordering::SeqCst) as i64),
-        ),
-        (
-            "accepted",
-            Value::Int(shared.accepted.load(Ordering::Relaxed) as i64),
-        ),
-        (
-            "rejected_busy",
-            Value::Int(shared.rejected.load(Ordering::Relaxed) as i64),
-        ),
-        (
-            "requests",
-            Value::Int(shared.requests.load(Ordering::Relaxed) as i64),
-        ),
-        (
-            "protocol_errors",
-            Value::Int(shared.protocol_errors.load(Ordering::Relaxed) as i64),
-        ),
-        (
-            "shed_busy",
-            Value::Int(shared.shed_busy.load(Ordering::Relaxed) as i64),
-        ),
-        (
-            "dedup",
-            Value::object([
-                ("hits", Value::Int(dedup.hits as i64)),
-                ("sessions", Value::Int(dedup.sessions as i64)),
-                (
-                    "evicted_sessions",
-                    Value::Int(dedup.evicted_sessions as i64),
-                ),
-            ]),
-        ),
-        ("draining", Value::Bool(shared.gate.is_draining())),
-    ])
+    let mut dedup = shared.dedup.stats().to_value();
+    dedup.insert("sessions", Value::Int(shared.dedup.sessions() as i64));
+    let mut server = shared.stats.snapshot().to_value();
+    let conns = shared.conns.load(Ordering::SeqCst);
+    server.insert("connections", Value::Int(conns as i64));
+    server.insert("dedup", dedup);
+    server.insert("draining", Value::Bool(shared.gate.is_draining()));
+    server
 }
